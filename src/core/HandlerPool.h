@@ -18,7 +18,12 @@
 ///   void addHandlerRaw(std::function<void(const DeltaType&)>, Task*);
 /// plugs into \c addHandler below; this is the "general data-structure /
 /// scheduler interface" role that \c ParLVar plays in Section 4's
-/// independent-extensibility discussion.
+/// independent-extensibility discussion. The in-tree LVars implement the
+/// contract with one \c HandlerList (src/core/LVarBase.h): addHandlerRaw
+/// is a session check plus \c HandlerList::add with a replay of the
+/// current contents, and each state-changing put delivers its delta with
+/// \c HandlerList::deliver inside \c HandlerList::guard(). That gate is
+/// what makes every delta reach every handler exactly once.
 ///
 /// Delta batching (DESIGN.md Section 13): handlers whose effect level
 /// cannot block (no HasGet) do not spawn one task per delta. Each pool

@@ -34,17 +34,13 @@ public:
   /// Lub write: empty -> full(V). Full(V) -> full(V) is a no-op; a
   /// conflicting value is a deterministic error (lattice top).
   void putValue(const T &V, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "IVar put");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
+    beginPut(Writer, check::FxPut, "IVar put");
     {
       std::lock_guard<std::mutex> Lock(WaitMutex);
       if (Full) {
         if constexpr (std::equality_comparable<T>) {
           if (*Slot == V) {
-            obs::count(obs::Event::NoOpJoins);
-            obs::count(obs::Event::NotifySkips);
+            noOpPut();
             return; // Idempotent repeat of the same write.
           }
         }
@@ -138,10 +134,7 @@ typename IVar<T>::GetAwaiter get(ParCtx<E> Ctx, IVar<T> &IV) {
 template <EffectSet E, typename T>
   requires(hasFreeze(E))
 std::optional<T> freezeIVar(ParCtx<E> Ctx, IVar<T> &IV) {
-  IV.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "IVar freeze");
-  IV.markFrozen();
-  return IV.peek();
+  return IV.freezeAndRead(Ctx.task(), "IVar freeze", [&] { return IV.peek(); });
 }
 
 /// Forks \p Body and returns an IVar future carrying its result: the

@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime substrate shared by every LVar data structure: the sharded
+/// The one LVar core every data structure plugs into (the role Section 4
+/// gives the general data-structure/scheduler interface): the sharded
 /// waiter table for blocked threshold reads, the freeze bit for
 /// quasi-deterministic exact reads, the session id standing in for the
-/// paper's `s` parameter, and the asymmetric put/handler-registration gate
-/// of footnote 6.
+/// paper's `s` parameter, the one put prologue / no-op epilogue / freeze
+/// path, and \c HandlerList - the handler registry behind the asymmetric
+/// put/handler-registration gate of footnote 6 (DESIGN.md Section 13).
 ///
 /// Waiter sharding (DESIGN.md Section 13): a blocked threshold read parks
 /// in the bucket named by its \c WaitSlot -
@@ -56,6 +58,7 @@
 #include <atomic>
 #include <coroutine>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -152,13 +155,9 @@ public:
       if (!L)
         return;
       std::lock_guard<std::mutex> Lock(L->Mu);
-      for (auto It = L->Heap.begin(); It != L->Heap.end();)
-        if (It->E.Owner == T) {
-          It = L->Heap.erase(It);
-          T->ParkedOn = nullptr;
-        } else {
-          ++It;
-        }
+      if (std::erase_if(L->Heap,
+                        [T](const SizeWaiter &W) { return W.E.Owner == T; }))
+        T->ParkedOn = nullptr;
       std::make_heap(L->Heap.begin(), L->Heap.end(), ThresholdGreater{});
       L->MinWatermark.store(L->Heap.empty() ? UINT64_MAX
                                             : L->Heap.front().Threshold,
@@ -175,14 +174,11 @@ public:
     if (!B)
       return;
     std::lock_guard<std::mutex> Lock(B->Mu);
-    for (auto It = B->Waiters.begin(); It != B->Waiters.end();)
-      if (It->Owner == T) {
-        It = B->Waiters.erase(It);
-        B->Count.fetch_sub(1, std::memory_order_release);
-        T->ParkedOn = nullptr;
-      } else {
-        ++It;
-      }
+    if (const size_t N = std::erase_if(
+            B->Waiters, [T](const WaiterEntry &W) { return W.Owner == T; })) {
+      B->Count.fetch_sub(static_cast<uint32_t>(N), std::memory_order_release);
+      T->ParkedOn = nullptr;
+    }
   }
 
   /// Asserts the accessing task belongs to this LVar's session (the
@@ -195,7 +191,38 @@ public:
     (void)T;
   }
 
+  /// The one freeze path behind every freeze* entry point: session check,
+  /// Freeze-effect audit, the freeze bit, then \p Read's exact contents.
+  template <typename ReadFn>
+  auto freezeAndRead(Task *T, const char *What, ReadFn Read) {
+    checkSession(T);
+    check::auditEffect(T, check::FxFreeze, What);
+    markFrozen();
+    return Read();
+  }
+
 protected:
+  /// The one put prologue behind every put, bump and advance entry point:
+  /// session check, effect audit, the fault-injection put point (before
+  /// any state change, so a doomed task's write never lands) and the Puts
+  /// count. IMap::modifyKey passes \p CountPut = false: it counts a put
+  /// only when the key is missing.
+  void beginPut(Task *Writer, uint8_t Fx, const char *What,
+                bool CountPut = true) const {
+    checkSession(Writer);
+    check::auditEffect(Writer, Fx, What);
+    fault::injectPoint(fault::Point::Put, Writer);
+    if (CountPut)
+      obs::count(obs::Event::Puts);
+  }
+
+  /// The one no-op epilogue: the join left the state unchanged, so there
+  /// is no delta to deliver and nothing to wake.
+  static void noOpPut() {
+    obs::count(obs::Event::NoOpJoins);
+    obs::count(obs::Event::NotifySkips);
+  }
+
   /// One blocked threshold read. \c TryCapture re-checks the threshold
   /// against the current state and, when satisfied, stores the read result
   /// into the awaiter (which lives in the parked coroutine's frame).
@@ -306,28 +333,9 @@ protected:
     const std::memory_order Probe = Order == NotifyOrder::StateSeqCst
                                         ? std::memory_order_seq_cst
                                         : std::memory_order_relaxed;
-    std::vector<Task *> ToWake;
-    bool Scanned = false;
-    if (Bucket0.Count.load(Probe) != 0) {
-      collectBucket(Bucket0, ToWake);
-      Scanned = true;
-    }
-    if (WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire))
-      for (unsigned I = 0; I < NumKeyBuckets; ++I)
-        if (KB[I].Count.load(Probe) != 0) {
-          collectBucket(KB[I], ToWake);
-          Scanned = true;
-        }
-    if (SizeWaiters *L = SizeList.load(std::memory_order_acquire))
-      if (L->MinWatermark.load(Probe) != UINT64_MAX) {
-        collectSize(*L, ToWake);
-        Scanned = true;
-      }
-    if (!Scanned) {
-      obs::count(obs::Event::NotifySkips);
-      return;
-    }
-    dispatchWakes(Waker, ToWake);
+    // Every key bucket; and the size heap whenever anything is parked in
+    // it (any watermark below the UINT64_MAX "empty" sentinel).
+    scanAndWake(Waker, Probe, 0, NumKeyBuckets, UINT64_MAX - 1);
   }
 
   /// Targeted notify for a delta that bound key \p KeyHash and grew the
@@ -336,29 +344,8 @@ protected:
   /// the smallest parked watermark is reached - the size heap.
   void notifyDelta(Task *Waker, uint64_t KeyHash, uint64_t NewSize) {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::vector<Task *> ToWake;
-    bool Scanned = false;
-    if (Bucket0.Count.load(std::memory_order_relaxed) != 0) {
-      collectBucket(Bucket0, ToWake);
-      Scanned = true;
-    }
-    if (WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire)) {
-      WaiterBucket &B = KB[KeyHash & (NumKeyBuckets - 1)];
-      if (B.Count.load(std::memory_order_relaxed) != 0) {
-        collectBucket(B, ToWake);
-        Scanned = true;
-      }
-    }
-    if (SizeWaiters *L = SizeList.load(std::memory_order_acquire))
-      if (NewSize >= L->MinWatermark.load(std::memory_order_relaxed)) {
-        collectSize(*L, ToWake);
-        Scanned = true;
-      }
-    if (!Scanned) {
-      obs::count(obs::Event::NotifySkips);
-      return;
-    }
-    dispatchWakes(Waker, ToWake);
+    const unsigned Key = static_cast<unsigned>(KeyHash & (NumKeyBuckets - 1));
+    scanAndWake(Waker, std::memory_order_relaxed, Key, Key + 1, NewSize);
   }
 
   /// Targeted notify for a capacity credit (a BoundedStream consumer's
@@ -406,10 +393,6 @@ protected:
   /// is still this base's, never a new one, which is exactly what the
   /// raw-sync analyzer rule is guarding.
   using StateGuard = std::lock_guard<std::mutex>;
-
-  /// Footnote-6 gate: puts take the fast side; handler registration takes
-  /// the slow side. See src/support/AsymmetricGate.h.
-  AsymmetricGate HandlerGate;
 
 private:
   /// Key-bucket fan-out; power of two. 16 shards keeps the per-LVar lazy
@@ -468,6 +451,35 @@ private:
       SizeList.store(P, std::memory_order_release);
     }
     return *P;
+  }
+
+  /// The notify scan: the default bucket, key buckets [KeyLo, KeyHi), and
+  /// the size heap once \p NewSize reaches its smallest watermark; each
+  /// probed lock-free with \p Probe ordering first.
+  void scanAndWake(Task *Waker, std::memory_order Probe, unsigned KeyLo,
+                   unsigned KeyHi, uint64_t NewSize) {
+    std::vector<Task *> ToWake;
+    bool Scanned = false;
+    if (Bucket0.Count.load(Probe) != 0) {
+      collectBucket(Bucket0, ToWake);
+      Scanned = true;
+    }
+    if (WaiterBucket *KB = KeyBuckets.load(std::memory_order_acquire))
+      for (unsigned I = KeyLo; I < KeyHi; ++I)
+        if (KB[I].Count.load(Probe) != 0) {
+          collectBucket(KB[I], ToWake);
+          Scanned = true;
+        }
+    if (SizeWaiters *L = SizeList.load(std::memory_order_acquire))
+      if (NewSize >= L->MinWatermark.load(Probe)) {
+        collectSize(*L, ToWake);
+        Scanned = true;
+      }
+    if (!Scanned) {
+      obs::count(obs::Event::NotifySkips);
+      return;
+    }
+    dispatchWakes(Waker, ToWake);
   }
 
   /// Locks one bucket and moves its satisfied waiters into \p ToWake.
@@ -529,6 +541,46 @@ private:
   std::atomic<bool> Frozen{false};
   uint64_t Session;
   std::string DbgName;
+};
+
+/// The handlers registered on one LVar, behind the footnote-6 gate. A put
+/// holds \c guard() across its whole state change and delivery, so no
+/// registration can run in between; \c add takes the gate's exclusive side,
+/// appends, and replays the LVar's current contents to the new handler.
+/// Each delta is therefore delivered to each handler exactly once: a value
+/// lands either before a registration (replayed) or after it (delivered by
+/// its put). Because the gate already orders the two sides - the Dekker
+/// handshake, the release on exitFast/exitSlow, the fallback mutex - the
+/// list is a plain vector: a put reads it with no shared write.
+template <typename Delta> class HandlerList {
+public:
+  using Handler = std::function<void(const Delta &)>;
+
+  /// The put side's fast section; hold it across state change + deliver.
+  [[nodiscard]] AsymmetricGate::FastGuard guard() {
+    return AsymmetricGate::FastGuard(Gate);
+  }
+
+  /// Inside a \c guard(): true when nothing is registered.
+  bool empty() const { return Handlers.empty(); }
+
+  /// Inside a \c guard(): runs every handler on \p D.
+  void deliver(const Delta &D) const {
+    for (const Handler &H : Handlers)
+      H(D);
+  }
+
+  /// Registers \p H and hands it to \p ReplayExisting, which must deliver
+  /// the current contents to it. Both run on the gate's exclusive side.
+  template <typename ReplayFn> void add(Handler H, ReplayFn ReplayExisting) {
+    AsymmetricGate::SlowGuard Slow(Gate);
+    Handlers.push_back(std::move(H));
+    ReplayExisting(Handlers.back());
+  }
+
+private:
+  AsymmetricGate Gate;
+  std::vector<Handler> Handlers;
 };
 
 /// Reports a state-changing put on a frozen LVar: the deterministic error

@@ -55,23 +55,18 @@ public:
   /// Handlers observe whole new states (the "delta" of a pure LVar is the
   /// state itself).
   using DeltaType = D;
-  using Handler = std::function<void(const D &)>;
+  using Handler = typename HandlerList<D>::Handler;
 
   PureLVar(uint64_t SessionId, D Initial)
-      : LVarBase(SessionId), State(std::move(Initial)) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+      : LVarBase(SessionId), State(std::move(Initial)) {}
 
   explicit PureLVar(uint64_t SessionId) : PureLVar(SessionId, L::bottom()) {}
 
   /// Lub write. Top-valued results are a deterministic error when the
   /// lattice designates a top; state changes on a frozen LVar likewise.
   void putValue(const D &V, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "PureLVar put");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
+    beginPut(Writer, check::FxPut, "PureLVar put");
+    auto Gate = Handlers.guard();
     bool Changed = false;
     D NewState{L::bottom()};
     {
@@ -98,38 +93,26 @@ public:
       }
     }
     if (!Changed) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      noOpPut();
       return;
     }
     // Deliver the new state to handlers while still inside the gate's fast
     // section, then re-check blocked threshold reads.
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    for (const Handler &H : *Snapshot)
-      H(NewState);
+    Handlers.deliver(NewState);
     // State and every parked waiter live under WaitMutex (Bucket0.Mu), so
     // the mutex alone orders this notify's probe - no fence needed.
     notifyWaiters(Writer, NotifyOrder::MutexGuarded);
   }
 
-  /// Registers a change handler and delivers the current state to it once.
-  /// Runs on the slow side of the footnote-6 gate: no put can be in flight
-  /// while the handler list is swapped, so delivery is exactly-once.
+  /// Registers a change handler and delivers the current state to it once
+  /// (exactly-once against racing puts: see HandlerList).
   void addHandlerRaw(Handler H, Task *Registrar) {
     checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    D Current;
-    {
-      std::lock_guard<std::mutex> Lock(WaitMutex);
-      Current = State;
-    }
-    if (!(Current == L::bottom()))
-      H(Current);
+    Handlers.add(std::move(H), [this](const Handler &New) {
+      D Current = peek();
+      if (!(Current == L::bottom()))
+        New(Current);
+    });
   }
 
   /// Exact read of the current state; deterministic only after freezing or
@@ -234,7 +217,7 @@ private:
   friend class GetAwaiter;
   template <typename R> friend class GetWithAwaiter;
   D State; ///< Guarded by WaitMutex.
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
+  HandlerList<D> Handlers;
 };
 
 /// Allocates a PureLVar at its lattice bottom.
@@ -289,10 +272,8 @@ auto get(ParCtx<E> Ctx, PureLVar<L> &LV, FnT Fn) {
 template <EffectSet E, typename L>
   requires(hasFreeze(E) && Lattice<L>)
 typename L::ValueType freezePureLVar(ParCtx<E> Ctx, PureLVar<L> &LV) {
-  LV.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "PureLVar freeze");
-  LV.markFrozen();
-  return LV.peek();
+  return LV.freezeAndRead(Ctx.task(), "PureLVar freeze",
+                          [&] { return LV.peek(); });
 }
 
 } // namespace lvish

@@ -50,12 +50,9 @@ public:
 
   /// Inflationary, commutative, non-idempotent update (exactly-once RMW).
   void bump(uint64_t Amount, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxBump, "Counter bump");
-    obs::count(obs::Event::Puts);
+    beginPut(Writer, check::FxBump, "Counter bump");
     if (Amount == 0) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      noOpPut();
       return;
     }
     if (isFrozen())
@@ -127,54 +124,23 @@ Counter::WaitThresholdAwaiter get(ParCtx<E> Ctx, Counter &C, uint64_t N) {
 template <EffectSet E>
   requires(hasFreeze(E))
 uint64_t freezeCounter(ParCtx<E> Ctx, Counter &C) {
-  C.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "Counter freeze");
-  C.markFrozen();
-  return C.peek();
+  return C.freezeAndRead(Ctx.task(), "Counter freeze",
+                         [&] { return C.peek(); });
 }
 
-/// A fixed-size array of bump-only counters sharing one LVar identity: the
-/// distance-matrix shape from the PhyBin case study (Section 7.1). Element
-/// counters are cache-line padded to keep concurrent bumps of neighboring
-/// cells from false-sharing.
-class CounterVec : public LVarBase {
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> V{0};
-  };
-
+/// A fixed-size array of cache-line-padded uint64 cells sharing one LVar
+/// identity, each starting at \p Init: the layout CounterVec and MinVec
+/// share. Padding keeps concurrent writes to neighboring cells from
+/// false-sharing. Reads are deterministic once the writers have joined
+/// (fork-join barrier) or after freezing.
+template <uint64_t Init> class CellVec : public LVarBase {
 public:
-  CounterVec(uint64_t SessionId, size_t N)
-      : LVarBase(SessionId), Cells(N) {}
+  CellVec(uint64_t SessionId, size_t N) : LVarBase(SessionId), Cells(N) {}
 
   size_t size() const { return Cells.size(); }
 
-  void bumpAt(size_t I, uint64_t Amount, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxBump, "CounterVec bump");
-    assert(I < Cells.size() && "CounterVec index out of range");
-    obs::count(obs::Event::Puts);
-    if (Amount == 0) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
-      return;
-    }
-    if (isFrozen())
-      putAfterFreezeError(Writer, this);
-#if LVISH_CHECK
-    uint64_t Old = Cells[I].V.fetch_add(Amount, std::memory_order_seq_cst);
-    if (check::sampleHit())
-      check::checkBumpInflates(Old, Amount, "CounterVec");
-#else
-    Cells[I].V.fetch_add(Amount, std::memory_order_seq_cst);
-#endif
-    // Threshold waiters on CounterVec are rare (the PhyBin pattern is
-    // bump-then-freeze); skip the waiter scan when nobody waits. The
-    // seq_cst RMW above stands in for the notify fence.
-    notifyWaiters(Writer, NotifyOrder::StateSeqCst);
-  }
-
   uint64_t peekAt(size_t I) const {
-    assert(I < Cells.size() && "CounterVec index out of range");
+    assert(I < Cells.size() && "LVar cell index out of range");
     return Cells[I].V.load(std::memory_order_acquire);
   }
 
@@ -186,8 +152,46 @@ public:
     return Out;
   }
 
+protected:
+  std::atomic<uint64_t> &cell(size_t I) {
+    assert(I < Cells.size() && "LVar cell index out of range");
+    return Cells[I].V;
+  }
+
 private:
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> V{Init};
+  };
   std::vector<Cell> Cells;
+};
+
+/// A fixed-size array of bump-only counters sharing one LVar identity: the
+/// distance-matrix shape from the PhyBin case study (Section 7.1).
+class CounterVec : public CellVec<0> {
+public:
+  CounterVec(uint64_t SessionId, size_t N) : CellVec(SessionId, N) {}
+
+  void bumpAt(size_t I, uint64_t Amount, Task *Writer) {
+    beginPut(Writer, check::FxBump, "CounterVec bump");
+    std::atomic<uint64_t> &C = cell(I);
+    if (Amount == 0) {
+      noOpPut();
+      return;
+    }
+    if (isFrozen())
+      putAfterFreezeError(Writer, this);
+#if LVISH_CHECK
+    uint64_t Old = C.fetch_add(Amount, std::memory_order_seq_cst);
+    if (check::sampleHit())
+      check::checkBumpInflates(Old, Amount, "CounterVec");
+#else
+    C.fetch_add(Amount, std::memory_order_seq_cst);
+#endif
+    // Threshold waiters on CounterVec are rare (the PhyBin pattern is
+    // bump-then-freeze); skip the waiter scan when nobody waits. The
+    // seq_cst RMW above stands in for the notify fence.
+    notifyWaiters(Writer, NotifyOrder::StateSeqCst);
+  }
 };
 
 /// Allocates a zeroed counter vector of \p N cells.
@@ -206,10 +210,8 @@ void incrCounterAt(ParCtx<E> Ctx, CounterVec &C, size_t I,
 template <EffectSet E>
   requires(hasFreeze(E))
 std::vector<uint64_t> freezeCounterVec(ParCtx<E> Ctx, CounterVec &C) {
-  C.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "CounterVec freeze");
-  C.markFrozen();
-  return C.snapshot();
+  return C.freezeAndRead(Ctx.task(), "CounterVec freeze",
+                         [&] { return C.snapshot(); });
 }
 
 } // namespace lvish

@@ -23,66 +23,45 @@
 #ifndef LVISH_DATA_IMAP_H
 #define LVISH_DATA_IMAP_H
 
-#include "src/core/LVarBase.h"
 #include "src/core/Par.h"
-#include "src/data/MonotoneHashMap.h"
+#include "src/data/KeyedStore.h"
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 namespace lvish {
 
-/// Monotone map LVar; construct via \c newEmptyMap.
+/// Monotone map LVar: a KeyedStore of conflict-on-differ cells; construct
+/// via \c newEmptyMap.
 template <typename K, typename V, typename HashT = DefaultHash<K>>
-class IMap : public LVarBase {
-public:
-  using DeltaType = std::pair<K, V>;
-  using Handler = std::function<void(const DeltaType &)>;
+class IMap : public KeyedStore<K, ConflictCell<K, V>, HashT> {
+  using Base = KeyedStore<K, ConflictCell<K, V>, HashT>;
 
-  explicit IMap(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+  /// modifyKey's join: a racing loser's fresh value is simply dropped.
+  struct FirstWins : ConflictCell<K, V> {
+    static bool join(const V &, const V &, Task *, const LVarBase &) {
+      return false;
+    }
+  };
+
+public:
+  /// Threshold read: unblocks once the key is bound; returns its value.
+  using GetKeyAwaiter = typename Base::KeyAwaiter;
+
+  explicit IMap(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: binds \p Key to \p Val. Re-inserting an equal value is a
   /// no-op; a conflicting value for an existing key is a deterministic
   /// error.
   void insertKV(const K &Key, const V &Val, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "IMap insert");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
-    auto [Stored, Inserted] = Table.insert(Key, Val);
-    if (!Inserted) {
-      if constexpr (std::equality_comparable<V>) {
-        if (*Stored == Val) {
-          obs::count(obs::Event::NoOpJoins);
-          obs::count(obs::Event::NotifySkips);
-          return; // Idempotent repeat: no delta, nothing to wake.
-        }
-      }
-      detail::raiseSessionFault(Writer, FaultCode::ConflictingInsert,
-                                "conflicting insert for an existing IMap key "
-                                "(per-key lattice top reached)",
-                                debugName());
-    }
-    if (isFrozen())
-      putAfterFreezeError(Writer, this);
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    if (!Snapshot->empty()) {
-      DeltaType Delta(Key, Val);
-      for (const Handler &H : *Snapshot)
-        H(Delta);
-    }
-    notifyDelta(Writer, HashT{}(Key), Table.size());
+    this->beginPut(Writer, check::FxPut, "IMap insert");
+    this->joinCell(Key, Val, Writer);
   }
 
   /// Non-blocking probe (deterministic only for keys known to be present,
   /// or when frozen). Returns a stable pointer or null.
-  const V *lookupNow(const K &Key) const { return Table.find(Key); }
+  const V *lookupNow(const K &Key) const { return this->Table.find(Key); }
 
   /// Monotone get-or-create (LVish's `modify` for nested-LVar values): if
   /// \p Key is absent, binds it to \p Factory(); returns the stable stored
@@ -91,108 +70,20 @@ public:
   /// "a map of sets" in the PhyBin parallelization (Section 7.1).
   template <typename FactoryT>
   const V &modifyKey(const K &Key, FactoryT Factory, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "IMap modifyKey");
-    fault::injectPoint(fault::Point::Put, Writer);
-    if (const V *Existing = Table.find(Key))
+    this->beginPut(Writer, check::FxPut, "IMap modifyKey",
+                   /*CountPut=*/false);
+    if (const V *Existing = this->Table.find(Key))
       return *Existing;
     obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
-    auto [Stored, Inserted] = Table.insert(Key, Factory());
-    if (!Inserted) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
-      return *Stored; // Lost the race; the winner's value is canonical.
-    }
-    if (isFrozen())
-      putAfterFreezeError(Writer, this);
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    if (!Snapshot->empty()) {
-      DeltaType Delta(Key, *Stored);
-      for (const Handler &H : *Snapshot)
-        H(Delta);
-    }
-    notifyDelta(Writer, HashT{}(Key), Table.size());
-    return *Stored;
-  }
-
-  size_t sizeNow() const { return Table.size(); }
-
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    Table.forEach([&H](const K &Key, const V &Val) {
-      H(DeltaType(Key, Val));
-    });
-  }
-
-  /// Sorted snapshot; call after freezing for deterministic iteration.
-  std::vector<std::pair<K, V>> toSortedVector() const {
-    assert(isFrozen() && "iterating an unfrozen IMap is nondeterministic");
-    return Table.snapshotSorted();
+    return *this->template joinCell<FirstWins>(Key, Factory(), Writer);
   }
 
   /// Unordered traversal (post-freeze or at quiescence).
   template <typename FnT> void forEachFrozen(FnT &&Fn) const {
-    assert(isFrozen() && "iterating an unfrozen IMap is nondeterministic");
-    Table.forEach(Fn);
+    assert(this->isFrozen() &&
+           "iterating an unfrozen IMap is nondeterministic");
+    this->Table.forEach(Fn);
   }
-
-  /// Threshold read: unblocks once \p Key is bound; returns its value.
-  class GetKeyAwaiter {
-  public:
-    GetKeyAwaiter(IMap &M, Task *Reader, K Key)
-        : Map(M), Tsk(Reader), Target(std::move(Key)) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::key(HashT{}(Target)));
-    }
-    V await_resume() { return std::move(*Out); }
-
-    bool tryCapture() {
-      const V *P = Map.Table.find(Target);
-      if (!P)
-        return false;
-      Out = *P;
-      return true;
-    }
-
-  private:
-    IMap &Map;
-    Task *Tsk;
-    K Target;
-    std::optional<V> Out;
-  };
-
-  /// Threshold read on cardinality.
-  class WaitSizeAwaiter {
-  public:
-    WaitSizeAwaiter(IMap &M, Task *Reader, size_t N)
-        : Map(M), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::size(Threshold));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Map.Table.size() >= Threshold; }
-
-  private:
-    IMap &Map;
-    Task *Tsk;
-    size_t Threshold;
-  };
-
-private:
-  MonotoneHashMap<K, V, HashT> Table;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates an empty map for the current session.
@@ -235,10 +126,8 @@ template <EffectSet E, typename K, typename V, typename HashT>
   requires(hasFreeze(E))
 std::vector<std::pair<K, V>> freezeMap(ParCtx<E> Ctx,
                                        IMap<K, V, HashT> &Map) {
-  Map.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "IMap freeze");
-  Map.markFrozen();
-  return Map.toSortedVector();
+  return Map.freezeAndRead(Ctx.task(), "IMap freeze",
+                           [&] { return Map.toSortedVector(); });
 }
 
 } // namespace lvish

@@ -28,124 +28,40 @@
 #ifndef LVISH_DATA_ISET_H
 #define LVISH_DATA_ISET_H
 
-#include "src/core/LVarBase.h"
 #include "src/core/Par.h"
-#include "src/data/MonotoneHashMap.h"
+#include "src/data/KeyedStore.h"
 
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 namespace lvish {
 
-/// Monotone set LVar; construct via \c newISet.
+/// Monotone set LVar: a KeyedStore of unit cells; construct via \c newISet.
 template <typename T, typename HashT = DefaultHash<T>>
-class ISet : public LVarBase {
-  struct Unit {};
+class ISet : public KeyedStore<T, UnitCell<T>, HashT> {
+  using Base = KeyedStore<T, UnitCell<T>, HashT>;
 
 public:
-  using DeltaType = T;
-  using Handler = std::function<void(const T &)>;
+  /// Threshold read: unblocks once the element is present.
+  using WaitElemAwaiter = typename Base::KeyAwaiter;
 
-  explicit ISet(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+  explicit ISet(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: adds \p Elem. No-op if already present (idempotent).
   void insertElem(const T &Elem, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "ISet insert");
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
-    auto [Ptr, Inserted] = Table.insert(Elem, Unit{});
-    (void)Ptr;
-    if (!Inserted) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
-      return; // Idempotent repeat: no delta, nothing to wake.
-    }
-    if (isFrozen())
-      putAfterFreezeError(Writer, this);
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    for (const Handler &H : *Snapshot)
-      H(Elem);
-    notifyDelta(Writer, HashT{}(Elem), Table.size());
+    this->beginPut(Writer, check::FxPut, "ISet insert");
+    this->joinCell(Elem, CellUnit{}, Writer);
   }
 
-  bool containsElem(const T &Elem) const { return Table.contains(Elem); }
-
-  /// Exact cardinality; deterministic only when frozen/quiescent.
-  size_t sizeNow() const { return Table.size(); }
-
-  /// Registers a handler; delivers every existing element, then every
-  /// future one, exactly once (footnote-6 gate).
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    Table.forEach([&H](const T &Elem, const Unit &) { H(Elem); });
-  }
-
-  /// Sorted snapshot; call after freezing for deterministic iteration.
-  std::vector<T> toSortedVector() const {
-    assert(isFrozen() && "iterating an unfrozen ISet is nondeterministic");
-    return Table.snapshotSortedKeys();
-  }
+  bool containsElem(const T &Elem) const { return this->Table.contains(Elem); }
 
   /// Unordered traversal (post-freeze or at quiescence).
   template <typename FnT> void forEachFrozen(FnT &&Fn) const {
-    assert(isFrozen() && "iterating an unfrozen ISet is nondeterministic");
-    Table.forEach([&Fn](const T &Elem, const Unit &) { Fn(Elem); });
+    assert(this->isFrozen() &&
+           "iterating an unfrozen ISet is nondeterministic");
+    this->Table.forEach(
+        [&Fn](const T &Elem, const CellUnit &) { Fn(Elem); });
   }
-
-  /// Threshold read: unblocks once \p Elem is present.
-  class WaitElemAwaiter {
-  public:
-    WaitElemAwaiter(ISet &S, Task *Reader, T Elem)
-        : Set(S), Tsk(Reader), Target(std::move(Elem)) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Set.parkGet(Tsk, H, this, WaitSlot::key(HashT{}(Target)));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Set.Table.contains(Target); }
-
-  private:
-    ISet &Set;
-    Task *Tsk;
-    T Target;
-  };
-
-  /// Threshold read: unblocks once |set| >= N.
-  class WaitSizeAwaiter {
-  public:
-    WaitSizeAwaiter(ISet &S, Task *Reader, size_t N)
-        : Set(S), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Set.parkGet(Tsk, H, this, WaitSlot::size(Threshold));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Set.Table.size() >= Threshold; }
-
-  private:
-    ISet &Set;
-    Task *Tsk;
-    size_t Threshold;
-  };
-
-private:
-  MonotoneHashMap<T, Unit, HashT> Table;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates an empty set for the current session.
@@ -185,10 +101,8 @@ typename ISet<T, HashT>::WaitSizeAwaiter waitSize(ParCtx<E> Ctx,
 template <EffectSet E, typename T, typename HashT>
   requires(hasFreeze(E))
 std::vector<T> freezeSet(ParCtx<E> Ctx, ISet<T, HashT> &Set) {
-  Set.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "ISet freeze");
-  Set.markFrozen();
-  return Set.toSortedVector();
+  return Set.freezeAndRead(Ctx.task(), "ISet freeze",
+                           [&] { return Set.toSortedVector(); });
 }
 
 } // namespace lvish

@@ -37,13 +37,12 @@
 #ifndef LVISH_DATA_MINMAP_H
 #define LVISH_DATA_MINMAP_H
 
-#include "src/core/LVarBase.h"
 #include "src/core/Lattice.h"
 #include "src/core/Par.h"
-#include "src/data/MonotoneHashMap.h"
+#include "src/data/Counter.h"
+#include "src/data/KeyedStore.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -51,157 +50,39 @@
 
 namespace lvish {
 
-/// Keyed min-label LVar; construct via \c newMinMap.
+/// Keyed min-label LVar: a KeyedStore of min-cells; construct via
+/// \c newMinMap.
 template <typename K, typename HashT = DefaultHash<K>>
-class MinMap : public LVarBase {
-  /// Cells are heap boxes because MonotoneHashMap::insert moves its value
-  /// argument and std::atomic is immovable; the box indirection also keeps
-  /// the CAS target stable forever (node-based buckets).
-  using Cell = std::unique_ptr<std::atomic<uint64_t>>;
+class MinMap : public KeyedStore<K, MinCell<K>, HashT> {
+  using Base = KeyedStore<K, MinCell<K>, HashT>;
 
 public:
   /// Bottom of MinUint64Lattice: "no label yet".
   static constexpr uint64_t Bottom = MinUint64Lattice::bottom();
 
-  using DeltaType = std::pair<K, uint64_t>;
-  using Handler = std::function<void(const DeltaType &)>;
+  /// Threshold read: unblocks once label[Key] <= Bound. "Label dropped to
+  /// Bound or below" is a stable fact (labels only decrease), so the read
+  /// is deterministic; it returns only the bound, never the exact label.
+  using WaitLeqAwaiter = typename Base::KeyAwaiter;
 
-  explicit MinMap(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+  explicit MinMap(uint64_t SessionId) : Base(SessionId) {}
 
   /// Lub write: joins \p Label into the key's cell by min. Fires handlers
   /// with (Key, Label) exactly when this call strictly lowered the cell
   /// (first write included); repeats and non-improving labels are no-ops.
   void joinKey(const K &Key, uint64_t Label, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "MinMap put");
-    obs::count(obs::Event::Puts);
-    if (Label == Bottom) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
-      return; // join(bottom, x) = x: nothing to record, nothing to wake.
-    }
-    AsymmetricGate::FastGuard Gate(HandlerGate);
-    // Insert the label directly so no reader ever observes a transient
-    // bottom cell; on a lost race the CAS loop below joins into the
-    // winner's cell.
-    auto [CellPtr, Inserted] =
-        Table.insert(Key, std::make_unique<std::atomic<uint64_t>>(Label));
-    std::atomic<uint64_t> &A = **CellPtr;
-    if (!Inserted) {
-      uint64_t Cur = A.load(std::memory_order_acquire);
-      for (;;) {
-        if (Label >= Cur) {
-          obs::count(obs::Event::NoOpJoins);
-          obs::count(obs::Event::NotifySkips);
-          return; // Non-improving join.
-        }
-        if (isFrozen())
-          putAfterFreezeError(Writer, this);
-        if (A.compare_exchange_weak(Cur, Label, std::memory_order_acq_rel,
-                                    std::memory_order_acquire))
-          break;
-      }
-    } else if (isFrozen()) {
-      putAfterFreezeError(Writer, this);
-    }
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    DeltaType D{Key, Label};
-    for (const Handler &H : *Snapshot)
-      H(D);
-    notifyDelta(Writer, HashT{}(Key), Table.size());
+    this->beginPut(Writer, check::FxPut, "MinMap put");
+    this->joinCell(Key, Label, Writer);
   }
 
   /// Current label, or nullopt if the key has never been written.
   /// Deterministic only when frozen/quiescent (labels can still drop).
   std::optional<uint64_t> peekKey(const K &Key) const {
-    const Cell *C = Table.find(Key);
+    const auto *C = this->Table.find(Key);
     if (!C)
       return std::nullopt;
     return (*C)->load(std::memory_order_acquire);
   }
-
-  /// Number of keys carrying a label; monotone, so threshold-readable.
-  size_t sizeNow() const { return Table.size(); }
-
-  /// Registers a handler; delivers the current label of every existing
-  /// key, then every future winning decrease (footnote-6 gate).
-  void addHandlerRaw(Handler H, Task *Registrar) {
-    checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    Table.forEach([&H](const K &Key, const Cell &C) {
-      H(DeltaType{Key, C->load(std::memory_order_acquire)});
-    });
-  }
-
-  /// Sorted (key, label) snapshot; call after freezing.
-  std::vector<std::pair<K, uint64_t>> toSortedVector() const {
-    assert(isFrozen() && "iterating an unfrozen MinMap is nondeterministic");
-    std::vector<std::pair<K, uint64_t>> Out;
-    Out.reserve(Table.size());
-    Table.forEach([&Out](const K &Key, const Cell &C) {
-      Out.emplace_back(Key, C->load(std::memory_order_acquire));
-    });
-    std::sort(Out.begin(), Out.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-    return Out;
-  }
-
-  /// Threshold read: unblocks once label[Key] <= Bound. "Label dropped to
-  /// Bound or below" is a stable fact (labels only decrease), so the read
-  /// is deterministic; it returns only the bound, never the exact label.
-  class WaitLeqAwaiter {
-  public:
-    WaitLeqAwaiter(MinMap &M, Task *Reader, K Key, uint64_t Bound)
-        : Map(M), Tsk(Reader), Target(std::move(Key)), Threshold(Bound) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::key(HashT{}(Target)));
-    }
-    uint64_t await_resume() const { return Threshold; }
-
-    bool tryCapture() {
-      const Cell *C = Map.Table.find(Target);
-      return C && (*C)->load(std::memory_order_acquire) <= Threshold;
-    }
-
-  private:
-    MinMap &Map;
-    Task *Tsk;
-    K Target;
-    uint64_t Threshold;
-  };
-
-  /// Threshold read: unblocks once at least N keys carry a label.
-  class WaitSizeAwaiter {
-  public:
-    WaitSizeAwaiter(MinMap &M, Task *Reader, size_t N)
-        : Map(M), Tsk(Reader), Threshold(N) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      return Map.parkGet(Tsk, H, this, WaitSlot::size(Threshold));
-    }
-    void await_resume() const noexcept {}
-
-    bool tryCapture() { return Map.Table.size() >= Threshold; }
-
-  private:
-    MinMap &Map;
-    Task *Tsk;
-    size_t Threshold;
-  };
-
-private:
-  MonotoneHashMap<K, Cell, HashT> Table;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
 };
 
 /// Allocates an empty min-map for the current session.
@@ -241,68 +122,39 @@ template <EffectSet E, typename K, typename HashT>
   requires(hasFreeze(E))
 std::vector<std::pair<K, uint64_t>> freezeMinMap(ParCtx<E> Ctx,
                                                  MinMap<K, HashT> &Map) {
-  Map.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "MinMap freeze");
-  Map.markFrozen();
-  return Map.toSortedVector();
+  return Map.freezeAndRead(Ctx.task(), "MinMap freeze",
+                           [&] { return Map.toSortedVector(); });
 }
 
 /// A fixed-size array of min-cells sharing one LVar identity - the
-/// CounterVec of the min lattice. Cells are cache-line padded; a join is
-/// one CAS loop. Reads (\c peekAt / \c snapshot) are deterministic once
-/// the writers have joined (fork-join barrier) or after freezing.
-class MinVec : public LVarBase {
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> V{MinUint64Lattice::bottom()};
-  };
-
+/// CounterVec of the min lattice (same padded CellVec layout); a join is
+/// one CAS loop.
+class MinVec : public CellVec<MinUint64Lattice::bottom()> {
 public:
   static constexpr uint64_t Bottom = MinUint64Lattice::bottom();
 
-  MinVec(uint64_t SessionId, size_t N) : LVarBase(SessionId), Cells(N) {}
+  MinVec(uint64_t SessionId, size_t N) : CellVec(SessionId, N) {}
 
-  size_t size() const { return Cells.size(); }
-
-  /// Lub write: Cells[I] <- min(Cells[I], Label).
+  /// Lub write: cell I <- min(cell I, Label).
   void joinAt(size_t I, uint64_t Label, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "MinVec put");
-    assert(I < Cells.size() && "MinVec index out of range");
-    obs::count(obs::Event::Puts);
-    uint64_t Cur = Cells[I].V.load(std::memory_order_acquire);
+    beginPut(Writer, check::FxPut, "MinVec put");
+    std::atomic<uint64_t> &C = cell(I);
+    uint64_t Cur = C.load(std::memory_order_acquire);
     for (;;) {
       if (Label >= Cur) {
-        obs::count(obs::Event::NoOpJoins);
-        obs::count(obs::Event::NotifySkips);
+        noOpPut();
         return;
       }
       if (isFrozen())
         putAfterFreezeError(Writer, this);
       // seq_cst on success so notifyWaiters can order its no-waiter probe
       // against this write without a standalone fence (as CounterVec).
-      if (Cells[I].V.compare_exchange_weak(Cur, Label,
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_acquire))
+      if (C.compare_exchange_weak(Cur, Label, std::memory_order_seq_cst,
+                                  std::memory_order_acquire))
         break;
     }
     notifyWaiters(Writer, NotifyOrder::StateSeqCst);
   }
-
-  uint64_t peekAt(size_t I) const {
-    assert(I < Cells.size() && "MinVec index out of range");
-    return Cells[I].V.load(std::memory_order_acquire);
-  }
-
-  /// Copies all cells out; deterministic once quiescent/frozen.
-  std::vector<uint64_t> snapshot() const {
-    std::vector<uint64_t> Out(Cells.size());
-    for (size_t I = 0; I < Cells.size(); ++I)
-      Out[I] = peekAt(I);
-    return Out;
-  }
-
-private:
-  std::vector<Cell> Cells;
 };
 
 /// Allocates a min-vector of \p N bottom (UINT64_MAX) cells.
@@ -320,10 +172,8 @@ void putMinAt(ParCtx<E> Ctx, MinVec &MV, size_t I, uint64_t Label) {
 template <EffectSet E>
   requires(hasFreeze(E))
 std::vector<uint64_t> freezeMinVec(ParCtx<E> Ctx, MinVec &MV) {
-  MV.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "MinVec freeze");
-  MV.markFrozen();
-  return MV.snapshot();
+  return MV.freezeAndRead(Ctx.task(), "MinVec freeze",
+                          [&] { return MV.snapshot(); });
 }
 
 } // namespace lvish

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The concurrent substrate under ISet and IMap: a striped-lock hash map
-/// that supports insertion and lookup but never deletion - the monotone
-/// growth discipline that makes LVar collections deterministic. Entries
-/// are stable once inserted (node-based buckets), so lookups can hand out
-/// pointers that stay valid for the life of the table.
+/// The concurrent substrate under KeyedStore (ISet, IMap, MinMap): a
+/// striped-lock hash map that supports insertion and lookup but never
+/// deletion - the monotone growth discipline that makes LVar collections
+/// deterministic. Entries are stable once inserted (node-based buckets),
+/// so lookups can hand out pointers that stay valid for the life of the
+/// table.
 ///
 /// Striping note: 64 stripes bound contention at the worker counts this
 /// library targets; an insert takes exactly one stripe lock. The size
@@ -80,16 +81,6 @@ public:
       for (const auto &KV : S.Map)
         Fn(KV.first, KV.second);
     }
-  }
-
-  /// Copies all keys out, sorted with operator< for deterministic
-  /// iteration after freezing.
-  std::vector<K> snapshotSortedKeys() const {
-    std::vector<K> Keys;
-    Keys.reserve(size());
-    forEach([&Keys](const K &Key, const V &) { Keys.push_back(Key); });
-    std::sort(Keys.begin(), Keys.end());
-    return Keys;
   }
 
   /// Copies all entries out, sorted by key.

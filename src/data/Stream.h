@@ -80,30 +80,24 @@ template <typename T> struct StreamDelta {
 template <typename T> class Stream : public LVarBase {
 public:
   using DeltaType = StreamDelta<T>;
-  using Handler = std::function<void(const DeltaType &)>;
+  using Handler = typename HandlerList<DeltaType>::Handler;
 
-  explicit Stream(uint64_t SessionId) : LVarBase(SessionId) {
-    Handlers.store(std::make_shared<const std::vector<Handler>>());
-  }
+  explicit Stream(uint64_t SessionId) : LVarBase(SessionId) {}
 
   /// Lub write: binds cell \p Idx to \p Val. Duplicate equal puts are
   /// no-ops; a conflicting value for a bound index is a deterministic
   /// error. Advances the filled prefix over any holes this put closes and
   /// wakes the prefix waiters it satisfies.
   void appendAt(uint64_t Idx, T Val, Task *Writer) {
-    checkSession(Writer);
-    check::auditEffect(Writer, check::FxPut, "Stream put");
-    fault::injectPoint(fault::Point::Put, Writer);
-    obs::count(obs::Event::Puts);
-    AsymmetricGate::FastGuard Gate(HandlerGate);
+    beginPut(Writer, check::FxPut, "Stream put");
+    auto Gate = Handlers.guard();
     uint64_t NewFilled;
     {
       StateGuard Lock(WaitMutex);
       if (Idx < Cells.size() && Cells[Idx].has_value()) {
         if constexpr (std::equality_comparable<T>) {
           if (*Cells[Idx] == Val) {
-            obs::count(obs::Event::NoOpJoins);
-            obs::count(obs::Event::NotifySkips);
+            noOpPut();
             return; // Idempotent repeat: no delta, nothing to wake.
           }
         }
@@ -113,8 +107,8 @@ public:
                                   "reached)",
                                   debugName());
       }
-      // Frozen check under the state lock (freezeStream also locks), so a
-      // View handed out by freeze can never race a cell write.
+      // Frozen check under the state lock (freezeStream's read also locks),
+      // so a View handed out by freeze can never race a cell write.
       if (isFrozen())
         putAfterFreezeError(Writer, this);
       if (Idx >= Cells.size())
@@ -136,12 +130,8 @@ public:
     // Handler delivery outside the state lock (a handler may put back into
     // this stream); the FastGuard still excludes a concurrent registration
     // replay, so each cell is delivered exactly once.
-    auto Snapshot = Handlers.load(std::memory_order_acquire);
-    if (!Snapshot->empty()) {
-      const DeltaType Delta{Idx, cellAt(Idx)};
-      for (const Handler &H : *Snapshot)
-        H(Delta);
-    }
+    if (!Handlers.empty())
+      Handlers.deliver(DeltaType{Idx, cellAt(Idx)});
     notifyDelta(Writer, /*KeyHash=*/0, NewFilled);
   }
 
@@ -156,21 +146,17 @@ public:
   /// exactly once (footnote-6 gate).
   void addHandlerRaw(Handler H, Task *Registrar) {
     checkSession(Registrar);
-    AsymmetricGate::SlowGuard Gate(HandlerGate);
-    auto Old = Handlers.load(std::memory_order_acquire);
-    auto New = std::make_shared<std::vector<Handler>>(*Old);
-    New->push_back(H);
-    Handlers.store(std::shared_ptr<const std::vector<Handler>>(std::move(New)),
-                   std::memory_order_release);
-    std::vector<DeltaType> Replay;
-    {
-      StateGuard Lock(WaitMutex);
-      for (uint64_t I = 0; I < Cells.size(); ++I)
-        if (Cells[I].has_value())
-          Replay.push_back(DeltaType{I, *Cells[I]});
-    }
-    for (const DeltaType &D : Replay)
-      H(D);
+    Handlers.add(std::move(H), [this](const Handler &New) {
+      std::vector<DeltaType> Replay;
+      {
+        StateGuard Lock(WaitMutex);
+        for (uint64_t I = 0; I < Cells.size(); ++I)
+          if (Cells[I].has_value())
+            Replay.push_back(DeltaType{I, *Cells[I]});
+      }
+      for (const DeltaType &D : Replay)
+        New(D);
+    });
   }
 
   /// Zero-copy snapshot of the final filled prefix, handed out by
@@ -194,21 +180,23 @@ public:
     uint64_t Len = 0;
   };
 
-  /// Closes the stream under the state lock and returns the final prefix
-  /// view. Called by \c freezeStream (which audits the Freeze effect).
-  View freezeNow() {
+  /// The final prefix view, read under the state lock. \c freezeStream
+  /// sets the freeze bit first, so every later put fails before it can
+  /// touch a cell the view exposes.
+  View frozenView() {
     StateGuard Lock(WaitMutex);
-    markFrozen();
     return View(this, Filled);
   }
 
   /// Threshold read: unblocks once the filled prefix reaches length
-  /// \p Threshold; returns a copy of element Threshold-1.
-  class GetPrefixAwaiter {
+  /// \p Threshold. With \p ReadsCell it returns a copy of element
+  /// Threshold-1 (\c get); without, only the threshold (\c waitSize).
+  template <bool ReadsCell> class PrefixAwaiter {
   public:
-    GetPrefixAwaiter(Stream &S, Task *Reader, uint64_t Threshold)
+    PrefixAwaiter(Stream &S, Task *Reader, uint64_t Threshold)
         : Str(S), Tsk(Reader), Threshold(Threshold) {
-      assert(Threshold >= 1 && "prefix threshold must be at least 1");
+      assert((!ReadsCell || Threshold >= 1) &&
+             "prefix threshold must be at least 1");
     }
 
     bool await_ready() const noexcept { return false; }
@@ -222,11 +210,11 @@ public:
       Parked = false;
       return false;
     }
-    T await_resume() {
+    auto await_resume() {
       if (Parked)
         obs::count(obs::Event::PrefixWakeups);
-      typename Stream<T>::StateGuard Lock(Str.WaitMutex);
-      return *Str.Cells[Threshold - 1];
+      if constexpr (ReadsCell)
+        return Str.cellAt(Threshold - 1);
     }
 
     // Size-heap contract: exactly "current size >= Threshold", against the
@@ -241,41 +229,14 @@ public:
     uint64_t Threshold;
     bool Parked = false;
   };
-
-  /// Threshold read on the prefix length alone (no element access).
-  class WaitPrefixAwaiter {
-  public:
-    WaitPrefixAwaiter(Stream &S, Task *Reader, uint64_t Threshold)
-        : Str(S), Tsk(Reader), Threshold(Threshold) {}
-
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> H) {
-      Parked = true;
-      if (Str.parkGet(Tsk, H, this, WaitSlot::size(Threshold)))
-        return true;
-      Parked = false;
-      return false;
-    }
-    void await_resume() {
-      if (Parked)
-        obs::count(obs::Event::PrefixWakeups);
-    }
-
-    bool tryCapture() {
-      return Str.FilledAtomic.load(std::memory_order_acquire) >= Threshold;
-    }
-
-  private:
-    Stream &Str;
-    Task *Tsk;
-    uint64_t Threshold;
-    bool Parked = false;
-  };
+  using GetPrefixAwaiter = PrefixAwaiter<true>;
+  using WaitPrefixAwaiter = PrefixAwaiter<false>;
 
 protected:
-  /// Locked read of a cell known to be bound (a bound cell never changes,
-  /// so the returned reference is stable after the lock drops).
-  const T &cellAt(uint64_t Idx) const {
+  /// Locked copy of a cell known to be bound. A copy, not a reference: a
+  /// later put past the end may resize (and so move) the cell storage once
+  /// the lock drops.
+  T cellAt(uint64_t Idx) const {
     StateGuard Lock(WaitMutex);
     return *Cells[Idx];
   }
@@ -291,7 +252,7 @@ private:
   /// Length of the contiguous filled prefix, guarded by WaitMutex;
   /// FilledAtomic mirrors it for lock-free probes.
   uint64_t Filled = 0;
-  std::atomic<std::shared_ptr<const std::vector<Handler>>> Handlers;
+  HandlerList<DeltaType> Handlers;
 };
 
 /// Bounded variant with deterministic backpressure; see file comment.
@@ -319,9 +280,7 @@ public:
   /// stale advance is a no-op, so racing consumers are deterministic) and
   /// grants the freed capacity to parked producers.
   void advanceTo(uint64_t UpTo, Task *Caller) {
-    this->checkSession(Caller);
-    check::auditEffect(Caller, check::FxPut, "BoundedStream advance");
-    obs::count(obs::Event::Puts);
+    this->beginPut(Caller, check::FxPut, "BoundedStream advance");
     uint64_t Old = Released.load(std::memory_order_relaxed);
     while (Old < UpTo &&
            !Released.compare_exchange_weak(Old, UpTo,
@@ -329,8 +288,7 @@ public:
                                            std::memory_order_relaxed)) {
     }
     if (Old >= UpTo) {
-      obs::count(obs::Event::NoOpJoins);
-      obs::count(obs::Event::NotifySkips);
+      this->noOpPut();
       return; // Stale watermark: nothing newly released.
     }
 #if LVISH_CHECK
@@ -448,9 +406,8 @@ void advance(ParCtx<E> Ctx, BoundedStream<T> &S, uint64_t UpTo) {
 template <EffectSet E, typename T>
   requires(hasFreeze(E))
 typename Stream<T>::View freezeStream(ParCtx<E> Ctx, Stream<T> &S) {
-  S.checkSession(Ctx.task());
-  check::auditEffect(Ctx.task(), check::FxFreeze, "Stream freeze");
-  return S.freezeNow();
+  return S.freezeAndRead(Ctx.task(), "Stream freeze",
+                         [&] { return S.frozenView(); });
 }
 
 } // namespace lvish

@@ -6,13 +6,18 @@
 #include "src/data/IMap.h"
 #include "src/data/ISet.h"
 #include "src/data/IStructure.h"
+#include "src/data/MinMap.h"
 #include "src/data/MonotoneHashMap.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace lvish;
 
@@ -349,6 +354,217 @@ TEST(IStructure, DataflowArray) {
       },
       SchedulerConfig{4});
   EXPECT_EQ(Last, 64);
+}
+
+// -- MinMap -----------------------------------------------------------------
+
+constexpr EffectSet IOE = Eff::FullIO;
+constexpr EffectSet Q = Eff::QuasiDet;
+
+/// Deltas seen by a MinMap handler, collected across handler tasks.
+struct MinDeltaLog {
+  std::mutex Mu;
+  std::vector<std::pair<int, uint64_t>> Seen;
+
+  void add(const std::pair<int, uint64_t> &D) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Seen.push_back(D);
+  }
+  std::vector<std::pair<int, uint64_t>> sorted() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    std::vector<std::pair<int, uint64_t>> Out = Seen;
+    std::sort(Out.begin(), Out.end());
+    return Out;
+  }
+};
+
+TEST(MinMap, BottomPutIsNoOp) {
+  auto Entries = runParIO<Q>(
+      [](ParCtx<Q> Ctx) -> Par<std::vector<std::pair<int, uint64_t>>> {
+        auto M = newMinMap<int>(Ctx);
+        putMin(Ctx, *M, 1, MinMap<int>::Bottom);
+        EXPECT_EQ(M->sizeNow(), 0u);
+        EXPECT_FALSE(M->peekKey(1).has_value());
+        putMin(Ctx, *M, 2, 7);
+        putMin(Ctx, *M, 2, MinMap<int>::Bottom); // join(7, bottom) = 7.
+        EXPECT_EQ(M->peekKey(2), std::optional<uint64_t>(7));
+        co_return freezeMinMap(Ctx, *M);
+      });
+  ASSERT_EQ(Entries.size(), 1u);
+  EXPECT_EQ(Entries[0], std::make_pair(2, uint64_t{7}));
+}
+
+TEST(MinMap, HandlerFiresOnlyOnStrictDecrease) {
+  MinDeltaLog Log;
+  runParIO<IOE>(
+      [&Log](ParCtx<IOE> Ctx) -> Par<void> {
+        auto M = newMinMap<int>(Ctx);
+        auto Pool = newPool(Ctx);
+        [[maybe_unused]] HandlerHandle H = addHandler(
+            Ctx, Pool, *M,
+            [&Log](ParCtx<IOE>, const std::pair<int, uint64_t> &D)
+                -> Par<void> {
+              Log.add(D);
+              co_return;
+            });
+        putMin(Ctx, *M, 1, 10); // First label: delivered.
+        putMin(Ctx, *M, 1, 12); // Not lower: no delta.
+        putMin(Ctx, *M, 1, 10); // Equal: no delta.
+        putMin(Ctx, *M, 1, 5);  // Strict decrease: delivered.
+        putMin(Ctx, *M, 1, 5);
+        putMin(Ctx, *M, 1, MinMap<int>::Bottom);
+        putMin(Ctx, *M, 2, 3); // Another key's first label: delivered.
+        co_await quiesce(Ctx, Pool);
+        co_return;
+      },
+      SchedulerConfig{1});
+  std::vector<std::pair<int, uint64_t>> Want{{1, 5}, {1, 10}, {2, 3}};
+  EXPECT_EQ(Log.sorted(), Want);
+}
+
+TEST(MinMap, LateRegistrationReplaysCurrentLabels) {
+  MinDeltaLog Log;
+  runParIO<IOE>(
+      [&Log](ParCtx<IOE> Ctx) -> Par<void> {
+        auto M = newMinMap<int>(Ctx);
+        auto Pool = newPool(Ctx);
+        putMin(Ctx, *M, 1, 7);
+        putMin(Ctx, *M, 1, 3);
+        putMin(Ctx, *M, 2, 9);
+        // Registration replays the current labels only (3, not 7)...
+        [[maybe_unused]] HandlerHandle H = addHandler(
+            Ctx, Pool, *M,
+            [&Log](ParCtx<IOE>, const std::pair<int, uint64_t> &D)
+                -> Par<void> {
+              Log.add(D);
+              co_return;
+            });
+        // ...then every later strict decrease.
+        putMin(Ctx, *M, 2, 4);
+        putMin(Ctx, *M, 1, 3);
+        co_await quiesce(Ctx, Pool);
+        co_return;
+      },
+      SchedulerConfig{1});
+  std::vector<std::pair<int, uint64_t>> Want{{1, 3}, {2, 4}, {2, 9}};
+  EXPECT_EQ(Log.sorted(), Want);
+}
+
+TEST(MinMap, GetWakesOnlyAtBoundAndReturnsBound) {
+  auto Seen = runParIO<IOE>(
+      [](ParCtx<IOE> Ctx) -> Par<std::pair<uint64_t, uint64_t>> {
+        auto M = newMinMap<int>(Ctx);
+        auto Woke = newIVar<std::pair<uint64_t, uint64_t>>(Ctx);
+        fork(Ctx, [M, Woke](ParCtx<IOE> C) -> Par<void> {
+          uint64_t R = co_await get(C, *M, 1, 5);
+          // Labels only fall, so the label read after waking must already
+          // be at or below the bound.
+          put(C, *Woke, std::make_pair(R, *M->peekKey(1)));
+        });
+        // The awaiter's threshold test itself: absent, then above, then at
+        // or below the bound.
+        MinMap<int>::WaitLeqAwaiter Probe(*M, Ctx.task(), 1, 5);
+        EXPECT_FALSE(Probe.tryCapture());
+        putMin(Ctx, *M, 1, 9);
+        EXPECT_FALSE(Probe.tryCapture());
+        putMin(Ctx, *M, 1, 6);
+        EXPECT_FALSE(Probe.tryCapture());
+        putMin(Ctx, *M, 1, 4);
+        EXPECT_TRUE(Probe.tryCapture());
+        auto V = co_await get(Ctx, *Woke);
+        co_return V;
+      },
+      SchedulerConfig{4});
+  EXPECT_EQ(Seen.first, 5u); // The bound, never the exact label.
+  EXPECT_LE(Seen.second, 5u);
+}
+
+TEST(MinMap, WaitSizeCountsLabelledKeys) {
+  runPar<D>(
+      [](ParCtx<D> Ctx) -> Par<void> {
+        auto M = newMinMap<int>(Ctx);
+        putMin(Ctx, *M, 100, MinMap<int>::Bottom); // Bottom: no key.
+        for (int I = 0; I < 8; ++I)
+          fork(Ctx, [M, I](ParCtx<D> C) -> Par<void> {
+            putMin(C, *M, I, static_cast<uint64_t>(I) + 1);
+            co_return;
+          });
+        co_await waitSize(Ctx, *M, 8);
+        EXPECT_GE(M->sizeNow(), 8u);
+        EXPECT_FALSE(M->peekKey(100).has_value());
+        co_return;
+      },
+      SchedulerConfig{4});
+}
+
+TEST(MinMap, PutAfterFreezeFaults) {
+  // A lowering put after the freeze is the quasi-determinism error...
+  auto O = tryRunParIO<Q>([](ParCtx<Q> Ctx) -> Par<int> {
+    auto M = newMinMap<int>(Ctx);
+    putMin(Ctx, *M, 1, 5);
+    (void)freezeMinMap(Ctx, *M);
+    putMin(Ctx, *M, 1, 7); // Not lower: a no-op join, never an error.
+    putMin(Ctx, *M, 1, 3);
+    co_return 0;
+  });
+  ASSERT_FALSE(O.ok());
+  EXPECT_EQ(O.fault().Code, FaultCode::PutAfterFreeze);
+  // ...and so is a put that labels a new key.
+  auto O2 = tryRunParIO<Q>([](ParCtx<Q> Ctx) -> Par<int> {
+    auto M = newMinMap<int>(Ctx);
+    (void)freezeMinMap(Ctx, *M);
+    putMin(Ctx, *M, 2, 1);
+    co_return 0;
+  });
+  ASSERT_FALSE(O2.ok());
+  EXPECT_EQ(O2.fault().Code, FaultCode::PutAfterFreeze);
+}
+
+// -- MinVec -----------------------------------------------------------------
+
+TEST(MinVec, PutMinAtJoinsByMinAndFreezes) {
+  auto Snap = runParIO<Q>(
+      [](ParCtx<Q> Ctx) -> Par<std::vector<uint64_t>> {
+        auto MV = newMinVec(Ctx, 8);
+        EXPECT_EQ(MV->size(), 8u);
+        // Named body: GCC 12 co_await temporary discipline (see Par.h).
+        auto Body = [MV](ParCtx<Q> C, size_t I) -> Par<void> {
+          putMinAt(C, *MV, I % 8, 1000 - I);
+          co_return;
+        };
+        co_await parallelForPar(Ctx, 0, 64, 1, Body);
+        putMinAt(Ctx, *MV, 0, MinVec::Bottom); // Bottom: no-op.
+        co_return freezeMinVec(Ctx, *MV);
+      },
+      SchedulerConfig{4});
+  ASSERT_EQ(Snap.size(), 8u);
+  for (size_t I = 0; I < 8; ++I)
+    EXPECT_EQ(Snap[I], 1000 - (56 + I)); // Largest index per cell wins.
+}
+
+TEST(MinVec, UntouchedCellsStayBottomAndLateLowerPutFaults) {
+  auto O = tryRunParIO<Q>([](ParCtx<Q> Ctx) -> Par<int> {
+    auto MV = newMinVec(Ctx, 4);
+    putMinAt(Ctx, *MV, 1, 5);
+    std::vector<uint64_t> Snap = freezeMinVec(Ctx, *MV);
+    EXPECT_EQ(Snap[0], MinVec::Bottom);
+    EXPECT_EQ(Snap[1], 5u);
+    putMinAt(Ctx, *MV, 1, 9); // Not lower: no-op after the freeze.
+    putMinAt(Ctx, *MV, 1, 2);
+    co_return 0;
+  });
+  ASSERT_FALSE(O.ok());
+  EXPECT_EQ(O.fault().Code, FaultCode::PutAfterFreeze);
+}
+
+// -- Footprint ----------------------------------------------------------------
+
+TEST(LVarFootprint, HandlerFreeLVarsCarryNoGate) {
+  // LVars that never register handlers must not pay for the footnote-6
+  // gate's per-thread slot array.
+  EXPECT_LT(sizeof(IVar<uint64_t>), 1024u);
+  EXPECT_LT(sizeof(Counter), 1024u);
+  EXPECT_LT(sizeof(MinVec), 1024u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/core/LVish.h"
+#include "src/data/ISet.h"
 #include "src/fault/FaultPlan.h"
 #include "src/obs/Telemetry.h"
 
@@ -252,5 +253,35 @@ TEST(FaultStressTest, InjectionCountsInTelemetry) {
   GTEST_SKIP() << "configure with -DLVISH_TELEMETRY=ON";
 }
 #endif
+
+TEST(FaultStressTest, DoomedTaskSetInsertNeverLands) {
+  if constexpr (!fault::InjectionEnabled) {
+    GTEST_SKIP() << "configure with -DLVISH_FAULTS=ON";
+  } else {
+    // The doomed child's only effect is one ISet insert: the put point
+    // must raise before the element lands, identically everywhere.
+    for (unsigned W : WorkerCounts)
+      for (uint64_t S : PlanSeeds) {
+        fault::FaultPlan Plan;
+        Plan.Seed = S;
+        Plan.HaveFailPedigree = true;
+        Plan.FailPedigree = "L";
+        fault::PlanScope Scope(Plan);
+        ParOutcome<int> O = tryRunPar<D>(
+            [](ParCtx<D> Ctx) -> Par<int> {
+              auto Set = newISet<int>(Ctx);
+              auto Body = [Set](ParCtx<D> C) -> Par<void> {
+                insert(C, *Set, 1);
+                co_return;
+              };
+              fork(Ctx, Body);
+              co_return 0;
+            },
+            cfg(W, S));
+        EXPECT_EQ(sig(O), "fault:injected_failure:pedigree=L:lvar=")
+            << "workers=" << W << " seed=" << S;
+      }
+  }
+}
 
 } // namespace

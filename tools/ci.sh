@@ -15,6 +15,14 @@
 #              stays healthy (empty snapshot struct, no-op counters).
 #              Re-runs ContentionStressTest standalone to stress the
 #              sharded waiter-table publish/probe protocol under TSan.
+#   asan     - AddressSanitizer (RelWithDebInfo, LVISH_SANITIZE=address):
+#              the full ctest suite under ASan, with LeakSanitizer's
+#              at-exit leak check on (the default on Linux), so a
+#              use-after-free, overflow or leaked task/frame fails it.
+#   ubsan    - UndefinedBehaviorSanitizer (RelWithDebInfo,
+#              LVISH_SANITIZE=undefined): the full ctest suite with
+#              UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1, so any
+#              report aborts its test and fails the stage.
 #   bench    - smoke-runs every bench/ binary with --smoke --json and
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints a non-fatal bench-report
@@ -72,10 +80,10 @@
 #              stage list (instrumented builds are slow).
 #
 # Usage: tools/ci.sh
-#        [debug|release|tsan|bench|faults|explore|pbbs|streams|service|
-#         chaos|analyze|coverage]...
-#        (default: debug release tsan bench faults explore pbbs streams
-#         service chaos analyze)
+#        [debug|release|tsan|asan|ubsan|bench|faults|explore|pbbs|streams|
+#         service|chaos|analyze|coverage]...
+#        (default: debug release tsan asan ubsan bench faults explore pbbs
+#         streams service chaos analyze)
 #
 #===------------------------------------------------------------------------===#
 
@@ -85,8 +93,8 @@ cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && \
-  STAGES=(debug release tsan bench faults explore pbbs streams service \
-          chaos analyze)
+  STAGES=(debug release tsan asan ubsan bench faults explore pbbs streams \
+          service chaos analyze)
 
 run_stage() {
   local name=$1; shift
@@ -122,6 +130,15 @@ for stage in "${STAGES[@]}"; do
       # hunt: every put/bump/freeze path of the four PBBS ports runs
       # under TSan against the sequential references.
       ./build-ci-tsan/tests/PbbsGoldenTest
+      ;;
+    asan)
+      run_stage asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DLVISH_SANITIZE=address
+      ;;
+    ubsan)
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        run_stage ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DLVISH_SANITIZE=undefined
       ;;
     bench)
       # Reuse the release tree when it exists; otherwise build it.
