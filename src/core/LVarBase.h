@@ -57,18 +57,11 @@
 #include <algorithm>
 #include <atomic>
 #include <coroutine>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#ifdef LVISH_TRACE_DEBUG
-#define LVISH_TRACE2(...) std::fprintf(stderr, __VA_ARGS__)
-#else
-#define LVISH_TRACE2(...) (void)0
-#endif
 
 namespace lvish {
 
@@ -251,9 +244,10 @@ protected:
                WaitSlot Slot = WaitSlot()) {
     checkSession(T);
     check::auditEffect(T, check::FxGet, "blocking threshold read");
-    // LVISH_FAULTS park-point poll (no-op otherwise). A raise here throws
-    // out of await_suspend, which resumes the coroutine and rethrows in
-    // its body - reaching unhandled_exception as usual.
+    // Fault-injection park point (one not-taken branch unless a plan is
+    // installed). A raise here throws out of await_suspend, which resumes
+    // the coroutine and rethrows in its body - reaching
+    // unhandled_exception as usual.
     fault::injectPoint(fault::Point::Park, T);
     if (T->isCancelled()) {
       T->Sched->deferRetire(T);
@@ -299,14 +293,10 @@ protected:
     B->Count.fetch_add(1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (A->tryCapture()) {
-      LVISH_TRACE2("parkGet lv=%p task=%p h=%p CAPTURED\n", (void *)this,
-                   (void *)T, H.address());
       B->Waiters.pop_back(); // Withdraw our own (still last) entry.
       B->Count.fetch_sub(1, std::memory_order_release);
       return false;
     }
-    LVISH_TRACE2("parkGet lv=%p task=%p h=%p PARKED\n", (void *)this,
-                 (void *)T, H.address());
     T->Resume = H;
     T->ParkedOn = this;
     T->ParkedSlot = SlotIdx;
@@ -371,7 +361,8 @@ protected:
     if (ToWake.empty())
       return;
     if (ToWake.size() > 1)
-      ToWake.front()->Sched->explorePermuteBackpressure(ToWake);
+      ToWake.front()->Sched->explorePermute(ToWake,
+                                            explore::BatchKind::Backpressure);
     for (Task *T : ToWake)
       T->Sched->wake(T, Waker);
   }
@@ -528,12 +519,9 @@ private:
       return;
     obs::count(obs::Event::ThresholdWakeups, ToWake.size());
     if (ToWake.size() > 1)
-      ToWake.front()->Sched->explorePermuteWakes(ToWake);
-    for (Task *T : ToWake) {
-      LVISH_TRACE2("notify lv=%p wake task=%p resume=%p\n", (void *)this,
-                   (void *)T, T->Resume.address());
+      ToWake.front()->Sched->explorePermute(ToWake);
+    for (Task *T : ToWake)
       T->Sched->wake(T, Waker);
-    }
   }
 
   mutable std::atomic<WaiterBucket *> KeyBuckets{nullptr};

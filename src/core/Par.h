@@ -66,16 +66,9 @@
 #include "src/support/Assert.h"
 
 #include <coroutine>
-#include <cstdio>
 #include <optional>
 #include <type_traits>
 #include <utility>
-
-#ifdef LVISH_TRACE_DEBUG
-#define LVISH_TRACE(...) std::fprintf(stderr, __VA_ARGS__)
-#else
-#define LVISH_TRACE(...) (void)0
-#endif
 
 namespace lvish {
 
@@ -100,8 +93,6 @@ template <typename Promise> struct FinalAwaiter {
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<Promise> H) noexcept {
     Promise &P = H.promise();
-    LVISH_TRACE("final %p cont=%p task=%p\n", H.address(),
-                P.Continuation.address(), (void *)P.OwnerTask);
     Task *Cur = Scheduler::currentTask();
     if (Cur && Cur->FaultPoisoned) {
       // A FaultSignal unwound this coroutine (see FaultSignal.h): the
@@ -191,8 +182,6 @@ public:
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<> Awaiting) noexcept {
     assert(Handle && "co_await on an empty Par");
-    LVISH_TRACE("awaitT %p -> child %p\n", Awaiting.address(),
-                Handle.address());
     Handle.promise().Continuation = Awaiting;
     return Handle; // Symmetric transfer: start the child immediately.
   }
@@ -252,8 +241,6 @@ public:
   std::coroutine_handle<>
   await_suspend(std::coroutine_handle<> Awaiting) noexcept {
     assert(Handle && "co_await on an empty Par");
-    LVISH_TRACE("awaitV %p -> child %p\n", Awaiting.address(),
-                Handle.address());
     Handle.promise().Continuation = Awaiting;
     return Handle;
   }
@@ -343,7 +330,7 @@ inline Task *spawnTaskRoot(Scheduler &Sched, Par<void> P, Task *Parent) {
 template <EffectSet E, typename F> void fork(ParCtx<E> Ctx, F Body) {
   static_assert(std::is_invocable_r_v<Par<void>, F, ParCtx<E>>,
                 "fork body must be callable as Par<void>(ParCtx<E>)");
-  // LVISH_FAULTS allocation-failure shim (no-op otherwise).
+  // Fault-injection allocation-failure shim (armed by an installed plan).
   fault::injectSpawn(Ctx.task());
   Par<void> P = detail::forkBody<E>(std::move(Body));
   Task *T = detail::installTaskRoot(*Ctx.sched(), std::move(P), Ctx.task());

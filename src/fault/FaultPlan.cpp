@@ -11,60 +11,69 @@
 #include "src/support/Hashing.h"
 #include "src/support/Timer.h"
 
-#include <atomic>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 using namespace lvish;
 using namespace lvish::fault;
 
 namespace {
 
-FaultPlan GPlan;
-std::atomic<bool> GActive{false};
+/// The acquire-load of the installed plan every armed decision starts with.
+const FaultPlan *plan() {
+  return InstalledPlan.load(std::memory_order_acquire);
+}
 
 } // namespace
 
 void fault::setFaultPlan(const FaultPlan &Plan) {
-  GPlan = Plan;
-  GActive.store(true, std::memory_order_release);
+  // Every installed copy stays alive for the life of the process (the
+  // holder is never destroyed, so no exit-time destructor can race a
+  // worker either): readers take no lock and hold no reference count.
+  static std::mutex Mu;
+  static auto *Installed = new std::vector<std::unique_ptr<const FaultPlan>>;
+  std::lock_guard<std::mutex> Lock(Mu);
+  Installed->push_back(std::make_unique<const FaultPlan>(Plan));
+  InstalledPlan.store(Installed->back().get(), std::memory_order_release);
 }
 
 void fault::clearFaultPlan() {
-  GActive.store(false, std::memory_order_release);
-}
-
-bool fault::planActive() {
-  return GActive.load(std::memory_order_acquire);
+  InstalledPlan.store(nullptr, std::memory_order_release);
 }
 
 bool fault::shouldDoomTask(const Pedigree &Ped) {
-  if (!planActive())
+  const FaultPlan *P = plan();
+  if (!P)
     return false;
-  if (GPlan.HaveFailPedigree)
-    return Ped.render() == GPlan.FailPedigree;
-  if (GPlan.FailHashPeriod)
-    return mix64(GPlan.Seed ^ Ped.hash()) % GPlan.FailHashPeriod == 0;
+  if (P->HaveFailPedigree)
+    return Ped.render() == P->FailPedigree;
+  if (P->FailHashPeriod)
+    return mix64(P->Seed ^ Ped.hash()) % P->FailHashPeriod == 0;
   return false;
 }
 
 bool fault::shouldFailSpawn(const Pedigree &Ped, uint64_t SpawnClock) {
-  if (!planActive() || GPlan.AllocFailPeriod == 0)
+  const FaultPlan *P = plan();
+  if (!P || P->AllocFailPeriod == 0)
     return false;
-  uint64_t H = hashCombine(GPlan.Seed ^ Ped.hash(), SpawnClock);
-  return H % GPlan.AllocFailPeriod == 0;
+  uint64_t H = hashCombine(P->Seed ^ Ped.hash(), SpawnClock);
+  return H % P->AllocFailPeriod == 0;
 }
 
-void fault::maybeDelay(Point P) {
-  if (!planActive() || GPlan.DelayPeriod == 0)
+void fault::maybeDelay(Point Pt) {
+  const FaultPlan *P = plan();
+  if (!P || P->DelayPeriod == 0)
     return;
   // Thread-local clock: delays are jitter, not semantics, so they need no
   // cross-schedule determinism - only a seed-dependent spread of where
   // they land.
   thread_local uint64_t DelayClock = 0;
-  uint64_t H = hashCombine(GPlan.Seed ^ (static_cast<uint64_t>(P) << 32),
+  uint64_t H = hashCombine(P->Seed ^ (static_cast<uint64_t>(Pt) << 32),
                            DelayClock++);
-  if (H % GPlan.DelayPeriod != 0)
+  if (H % P->DelayPeriod != 0)
     return;
-  uint64_t Until = nowNanos() + GPlan.DelayNanos;
+  uint64_t Until = nowNanos() + P->DelayNanos;
   while (nowNanos() < Until) {
     // Busy spin: short (microseconds), and sleeping would just hide the
     // interleavings the delay is meant to expose.

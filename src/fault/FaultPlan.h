@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The decision core of the LVISH_FAULTS injection harness: a process-wide
+/// The decision core of the fault-injection harness: a process-wide
 /// \c FaultPlan describing which tasks fail, where artificial delays land,
 /// and how often spawn allocation is simulated to fail. Every decision is
 /// a pure SplitMix-style hash of (plan seed, task pedigree, per-task
@@ -17,9 +17,9 @@
 ///
 /// This header depends only on src/support/ so the scheduler can consult
 /// it without a layering cycle; the Task-aware raising glue lives in
-/// src/fault/FaultInject.h. Build with -DLVISH_FAULTS=ON to arm the hooks
-/// (\c InjectionEnabled); the plan API itself always compiles so tests can
-/// configure and skip cleanly.
+/// src/fault/FaultInject.h. The hooks are compiled into every build and
+/// armed only by an installed plan: with none installed, each injection
+/// point costs one inline load of \c InstalledPlan and a not-taken branch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,21 +28,12 @@
 
 #include "src/support/Pedigree.h"
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
-#ifndef LVISH_FAULTS
-#define LVISH_FAULTS 0
-#endif
-
 namespace lvish {
 namespace fault {
-
-#if LVISH_FAULTS
-inline constexpr bool InjectionEnabled = true;
-#else
-inline constexpr bool InjectionEnabled = false;
-#endif
 
 /// Schedule points where injection decisions are polled.
 enum class Point : unsigned {
@@ -84,15 +75,25 @@ struct FaultPlan {
   uint32_t AllocFailPeriod = 0;
 };
 
-/// Installs \p Plan process-wide. Not thread-safe against running
-/// sessions: configure before runPar, clear after it returns.
+/// Installs \p Plan process-wide: configure before runPar, clear after it
+/// returns. Each call publishes a fresh immutable copy through
+/// \c InstalledPlan; copies are never freed, so a worker still reading the
+/// previous plan (an idle worker's steal-point delay) never races the
+/// install.
 void setFaultPlan(const FaultPlan &Plan);
 
 /// Disarms the active plan.
 void clearFaultPlan();
 
-/// True while a plan is installed (relaxed probe; hot paths bail early).
-bool planActive();
+/// The installed plan, or null. Written only by setFaultPlan and
+/// clearFaultPlan; read through planActive() on the hot paths.
+inline std::atomic<const FaultPlan *> InstalledPlan{nullptr};
+
+/// True while a plan is installed: the whole inline cost of an injection
+/// point (the armed slow paths re-load the plan themselves).
+inline bool planActive() {
+  return InstalledPlan.load(std::memory_order_acquire) != nullptr;
+}
 
 /// RAII plan installation for tests.
 class PlanScope {
@@ -106,15 +107,15 @@ public:
 /// Decided at task creation: is the task at this pedigree doomed to an
 /// injected failure? (Exact-pedigree targeting or chaos hash; see
 /// FaultPlan.) Pure in (plan, pedigree).
-bool shouldDoomTask(const Pedigree &Ped);
+[[gnu::cold]] bool shouldDoomTask(const Pedigree &Ped);
 
 /// Decided at fork, in the parent: does this spawn's allocation shim
 /// fire? Pure in (plan, parent pedigree, parent spawn clock).
-bool shouldFailSpawn(const Pedigree &Ped, uint64_t SpawnClock);
+[[gnu::cold]] bool shouldFailSpawn(const Pedigree &Ped, uint64_t SpawnClock);
 
 /// Busy-spins for the plan's DelayNanos when the (thread-local) delay
 /// clock lands on the period. Non-semantic by construction.
-void maybeDelay(Point P);
+[[gnu::cold]] void maybeDelay(Point P);
 
 } // namespace fault
 } // namespace lvish

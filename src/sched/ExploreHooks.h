@@ -40,6 +40,13 @@ enum class StepKind : uint8_t {
   Steal,  ///< Steal the top (FIFO end) of \c Victim's deque.
 };
 
+/// Which controller question a multi-task wake batch asks
+/// (Scheduler::explorePermute).
+enum class BatchKind : uint8_t {
+  Wake,         ///< Threshold wakeups and handler-pool drains: onPick.
+  Backpressure, ///< Producers released by one capacity credit.
+};
+
 /// One way the session could advance: \c Worker acquires a task via
 /// \c Kind. The scheduler enumerates every currently-possible option in a
 /// deterministic order (worker-major, Inject before Steals, victims
@@ -68,14 +75,9 @@ public:
 
   /// Called when a capacity credit (a BoundedStream consumer's advance)
   /// releases N >= 2 parked producers at once: returns which of the N
-  /// remaining producers resumes first (selection order, like onPick).
-  /// Defaults to the first option so ScheduleCtl implementations predating
-  /// bounded streams keep compiling; the explore engines override it with
-  /// a recorded decision of its own kind so replays stay bit-for-bit.
-  virtual unsigned onBackpressure(unsigned N) {
-    (void)N;
-    return 0;
-  }
+  /// remaining producers resumes first (selection order, like onPick),
+  /// recorded as a decision of its own kind so replays stay bit-for-bit.
+  virtual unsigned onBackpressure(unsigned N) = 0;
 
   /// Called just before a chosen task is resumed (or reaped, when it was
   /// cancelled in the queue) with its fork-tree pedigree; engines fold

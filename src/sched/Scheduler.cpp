@@ -8,14 +8,7 @@
 #include "src/support/Timer.h"
 
 #include <cassert>
-#include <cstdio>
 #include <utility>
-
-#ifdef LVISH_TRACE_DEBUG
-#define LVISH_TRACE3(...) std::fprintf(stderr, __VA_ARGS__)
-#else
-#define LVISH_TRACE3(...) (void)0
-#endif
 
 using namespace lvish;
 
@@ -169,8 +162,6 @@ Scheduler::~Scheduler() {
 
 Task *Scheduler::createTask(std::coroutine_handle<> Root, Task *Parent) {
   Task *T = new Task();
-  LVISH_TRACE3("create task=%p root=%p parent=%p\n", (void *)T,
-               Root.address(), (void *)Parent);
   T->Root = Root;
   T->Resume = Root;
   T->Sched = this;
@@ -196,10 +187,8 @@ Task *Scheduler::createTask(std::coroutine_handle<> Root, Task *Parent) {
     T->pedAppend(0);
     Parent->pedAppend(1);
   }
-  if constexpr (fault::InjectionEnabled) {
-    if (fault::planActive())
-      T->InjectDoomed = fault::shouldDoomTask(T->Ped);
-  }
+  if (fault::planActive()) [[unlikely]]
+    T->InjectDoomed = fault::shouldDoomTask(T->Ped);
   T->scopesOnCreate();
   obs::WorkerCounters::bump(myCounters().TasksCreated);
   if (Tracing) {
@@ -260,13 +249,8 @@ void Scheduler::onTaskParked(Task *T) {
 }
 
 void Scheduler::onTaskFinished(Task *T) {
-  LVISH_TRACE3("finished task=%p\n", (void *)T);
   obs::WorkerCounters::bump(myCounters().TasksExecuted);
-  // retire() destroys T; keep the session state alive for the decrement
-  // (which may fire the session's quiescence observer).
-  std::shared_ptr<SessionState> S = T->Session;
-  retire(T);
-  removePendingFor(S);
+  retireAndRelease(T);
 }
 
 void Scheduler::deferRetire(Task *T) {
@@ -274,6 +258,14 @@ void Scheduler::deferRetire(Task *T) {
   Worker &W = *Workers[WorkerIndexTL];
   assert(!W.PendingRetire && "one deferred retire per slice");
   W.PendingRetire = T;
+}
+
+void Scheduler::retireAndRelease(Task *T) {
+  // retire() destroys T; keep the session state alive for the decrement
+  // (which may fire the session's quiescence observer).
+  std::shared_ptr<SessionState> S = T->Session;
+  retire(T);
+  removePendingFor(S);
 }
 
 void Scheduler::retire(Task *T) {
@@ -298,7 +290,8 @@ void Scheduler::waitSessionQuiescent(SessionState &S) {
   });
 }
 
-void Scheduler::explorePermuteWakes(std::vector<Task *> &ToWake) {
+void Scheduler::explorePermute(std::vector<Task *> &ToWake,
+                               explore::BatchKind Kind) {
   if (!ExploreCtl || ToWake.size() < 2)
     return;
   // Selection order: decision I picks which of the remaining tasks fires
@@ -306,27 +299,42 @@ void Scheduler::explorePermuteWakes(std::vector<Task *> &ToWake) {
   // of the rest preserved, so a replayed index sequence reconstructs the
   // same permutation.
   for (size_t I = 0; I + 1 < ToWake.size(); ++I) {
-    unsigned K = ExploreCtl->onPick(static_cast<unsigned>(ToWake.size() - I));
-    assert(K < ToWake.size() - I && "onPick out of range");
+    const unsigned N = static_cast<unsigned>(ToWake.size() - I);
+    unsigned K = Kind == explore::BatchKind::Backpressure
+                     ? ExploreCtl->onBackpressure(N)
+                     : ExploreCtl->onPick(N);
+    assert(K < N && "explore pick out of range");
     Task *Chosen = ToWake[I + K];
     ToWake.erase(ToWake.begin() + static_cast<ptrdiff_t>(I + K));
     ToWake.insert(ToWake.begin() + static_cast<ptrdiff_t>(I), Chosen);
   }
 }
 
-void Scheduler::explorePermuteBackpressure(std::vector<Task *> &ToWake) {
-  if (!ExploreCtl || ToWake.size() < 2)
+void Scheduler::runPopped(Worker &Me, Task *T) {
+  assert(T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1 &&
+         "popped task was not queued");
+  if (ExploreCtl)
+    ExploreCtl->onResume(T->Ped);
+  chargeBudgetStep(T);
+  if (T->isCancelled()) {
+    // A cancelled task is destroyed instead of resumed; the scheduler
+    // polls liveness at every action, as in Section 6.1 of the paper.
+    retireAndRelease(T);
     return;
-  // Same selection-order scheme as explorePermuteWakes, but each choice is
-  // recorded as DecisionKind::Backpressure so a replayed schedule can be
-  // read back as "which starved producer got the credit first".
-  for (size_t I = 0; I + 1 < ToWake.size(); ++I) {
-    unsigned K =
-        ExploreCtl->onBackpressure(static_cast<unsigned>(ToWake.size() - I));
-    assert(K < ToWake.size() - I && "onBackpressure out of range");
-    Task *Chosen = ToWake[I + K];
-    ToWake.erase(ToWake.begin() + static_cast<ptrdiff_t>(I + K));
-    ToWake.insert(ToWake.begin() + static_cast<ptrdiff_t>(I), Chosen);
+  }
+  CurrentTaskTL = T;
+  if (Tracing)
+    sliceBegin(T);
+  std::coroutine_handle<> H = T->Resume;
+  assert(H && "scheduled task has no resume point");
+  H.resume();
+  // NOTE: T may already be freed or running on another worker here; the
+  // only safe cleanup is the thread-local reset and the deferred retire
+  // handoff below.
+  CurrentTaskTL = nullptr;
+  if (Task *R = Me.PendingRetire) {
+    Me.PendingRetire = nullptr;
+    retireAndRelease(R);
   }
 }
 
@@ -393,30 +401,7 @@ void Scheduler::exploreRun() {
       break;
     }
     assert(T && "explore step chose an empty source");
-    assert(T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1 &&
-           "popped task was not queued");
-    ExploreCtl->onResume(T->Ped);
-    chargeBudgetStep(T);
-
-    if (T->isCancelled()) {
-      std::shared_ptr<SessionState> Sess = T->Session;
-      retire(T);
-      removePendingFor(Sess);
-      continue;
-    }
-    CurrentTaskTL = T;
-    if (Tracing)
-      sliceBegin(T);
-    std::coroutine_handle<> H = T->Resume;
-    assert(H && "scheduled task has no resume point");
-    H.resume();
-    CurrentTaskTL = nullptr;
-    if (Task *R = Me.PendingRetire) {
-      Me.PendingRetire = nullptr;
-      std::shared_ptr<SessionState> Sess = R->Session;
-      retire(R);
-      removePendingFor(Sess);
-    }
+    runPopped(Me, T);
   }
   WorkerSchedTL = SavedSched;
   WorkerIndexTL = SavedIndex;
@@ -579,12 +564,10 @@ Task *Scheduler::tryInjected() {
 
 Task *Scheduler::findWork(unsigned Index) {
   Worker &Me = *Workers[Index];
-  if constexpr (fault::InjectionEnabled) {
-    // Artificial scheduling jitter at the steal point (non-semantic: it
-    // perturbs interleavings, never outcomes).
-    if (fault::planActive())
-      fault::maybeDelay(fault::Point::Steal);
-  }
+  // Artificial scheduling jitter at the steal point (non-semantic: it
+  // perturbs interleavings, never outcomes).
+  if (fault::planActive()) [[unlikely]]
+    fault::maybeDelay(fault::Point::Steal);
   // Multi-session fairness: periodically let injected work (session
   // roots, yields - round-robin across sessions) preempt the local
   // deque, so one session's deep fan-out cannot starve its siblings'
@@ -640,35 +623,6 @@ void Scheduler::workerLoop(unsigned Index) {
       continue;
     }
     IdleSpins = 0;
-    assert(T->DebugQueued.exchange(0, std::memory_order_acq_rel) == 1 &&
-           "popped task was not queued");
-    chargeBudgetStep(T);
-
-    if (T->isCancelled()) {
-      // A cancelled task is destroyed instead of resumed; the scheduler
-      // polls liveness at every action, as in Section 6.1 of the paper.
-      std::shared_ptr<SessionState> Sess = T->Session;
-      retire(T);
-      removePendingFor(Sess);
-      continue;
-    }
-
-    CurrentTaskTL = T;
-    if (Tracing)
-      sliceBegin(T);
-    std::coroutine_handle<> H = T->Resume;
-    LVISH_TRACE3("worker resume task=%p h=%p\n", (void *)T, H.address());
-    assert(H && "scheduled task has no resume point");
-    H.resume();
-    // NOTE: T may already be freed or running on another worker here; the
-    // only safe cleanup is the thread-local reset and the deferred retire
-    // handoff below.
-    CurrentTaskTL = nullptr;
-    if (Task *R = Me.PendingRetire) {
-      Me.PendingRetire = nullptr;
-      std::shared_ptr<SessionState> Sess = R->Session;
-      retire(R);
-      removePendingFor(Sess);
-    }
+    runPopped(Me, T);
   }
 }

@@ -166,17 +166,15 @@ public:
   void waitSessionQuiescent(SessionState &S);
 
   /// Explore mode: reorders a batch of tasks about to be woken together
-  /// (multi-task threshold wakeups, handler-pool drains) by repeatedly
-  /// asking the controller which of the remaining tasks fires next. No-op
-  /// (one null check) outside explore mode or for batches of one.
-  void explorePermuteWakes(std::vector<Task *> &ToWake);
-
-  /// Explore mode: reorders a batch of parked producers about to be
-  /// resumed by a BoundedStream capacity credit. Identical mechanics to
-  /// explorePermuteWakes but routed through ScheduleCtl::onBackpressure so
-  /// the choice is recorded (and replayed) as its own decision kind. No-op
-  /// outside explore mode or for batches of one.
-  void explorePermuteBackpressure(std::vector<Task *> &ToWake);
+  /// by repeatedly asking the controller which of the remaining tasks
+  /// fires next - ScheduleCtl::onPick for multi-task threshold wakeups and
+  /// handler-pool drains (BatchKind::Wake), ScheduleCtl::onBackpressure
+  /// for producers released by one BoundedStream capacity credit
+  /// (BatchKind::Backpressure), so each is recorded and replayed as its
+  /// own decision kind. No-op (one null check) outside explore mode or for
+  /// batches of one.
+  void explorePermute(std::vector<Task *> &ToWake,
+                      explore::BatchKind Kind = explore::BatchKind::Wake);
 
   /// The session's schedule controller, or null outside explore mode.
   explore::ScheduleCtl *exploreCtl() const { return ExploreCtl; }
@@ -241,6 +239,11 @@ private:
 
   void workerLoop(unsigned Index);
   Task *findWork(unsigned Index);
+  /// The one dispatch step behind workerLoop and exploreRun: runs \p T,
+  /// just popped by worker \p Me - the explore resume hook, the budget
+  /// charge, the reap of a cancelled task or its resume slice, then the
+  /// deferred retire the slice handed off.
+  void runPopped(Worker &Me, Task *T);
   /// Charges one scheduler decision against \p T's session step budget
   /// (SessionState::StepBudget). Exactly the call whose count first
   /// crosses the budget raises FaultCode::BudgetExceeded through the
@@ -266,6 +269,9 @@ private:
   /// paths capture the shared session state first). Fires the session's
   /// quiescence CV/observer when its count hits zero.
   void removePendingFor(const std::shared_ptr<SessionState> &S);
+  /// Retires \p T, then drops its pending counts (finished, reaped and
+  /// deferred-retire tasks).
+  void retireAndRelease(Task *T);
   void retire(Task *T);
   void registryAdd(Task *T);
   void registryRemove(Task *T);

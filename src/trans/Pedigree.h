@@ -14,11 +14,18 @@
 /// Intel modified the Cilk runtime to support this (Leiserson et al.,
 /// PPoPP 2012); in LVish it is just a state layer.
 ///
+/// The path is the scheduler's own fork-tree type (src/support/Pedigree.h,
+/// the one every Task carries): appending a branch is a bit set, not a
+/// string copy, and the rendered L/R string is the one faults report.
+/// Paths deeper than Pedigree::Capacity forks render with its "+N"
+/// saturation suffix.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LVISH_TRANS_PEDIGREE_H
 #define LVISH_TRANS_PEDIGREE_H
 
+#include "src/support/Pedigree.h"
 #include "src/trans/StateLayer.h"
 
 #include <string>
@@ -27,13 +34,14 @@ namespace lvish {
 
 /// The pedigree state: path in the fork tree plus a sequential counter.
 struct PedigreeState {
-  std::string Path;      ///< 'L'/'R' per fork, root is "".
+  Pedigree Ped;          ///< One branch per fork; empty at the root.
   uint64_t SeqCount = 0; ///< Bumped by \c pedigreeTick.
 
   /// Fork split: the child descends Left, the parent continues Right.
   PedigreeState splitForChild() {
-    PedigreeState Child{Path + 'L', 0};
-    Path += 'R';
+    PedigreeState Child{Ped, 0};
+    Child.Ped.append(0);
+    Ped.append(1);
     SeqCount = 0;
     return Child;
   }
@@ -49,7 +57,7 @@ auto withPedigree(ParCtx<E> Ctx, F Body) {
 
 /// The current task's pedigree path (requires withPedigree in scope).
 template <EffectSet E> std::string pedigree(ParCtx<E> Ctx) {
-  return stateRef<PedigreeState, PedigreeTag>(Ctx).Path;
+  return stateRef<PedigreeState, PedigreeTag>(Ctx).Ped.render();
 }
 
 /// Advances the sequential component of the pedigree "program counter".
@@ -60,7 +68,7 @@ template <EffectSet E> void pedigreeTick(ParCtx<E> Ctx) {
 /// Full pedigree including the sequential counter, e.g. "LRL#3".
 template <EffectSet E> std::string pedigreeFull(ParCtx<E> Ctx) {
   PedigreeState &S = stateRef<PedigreeState, PedigreeTag>(Ctx);
-  return S.Path + "#" + std::to_string(S.SeqCount);
+  return S.Ped.render() + "#" + std::to_string(S.SeqCount);
 }
 
 /// Answers "could A have happened before B?" for two pedigrees: true iff

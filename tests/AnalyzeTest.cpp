@@ -155,6 +155,19 @@ TEST(Analyze, DeprecatedBorrowedSchedulerCleanFixture) {
       << "Runtime::run/submit and the runParOnImpl funnel must not match";
 }
 
+TEST(Analyze, RetiredBuildFlagSeededViolations) {
+  auto Fs = analyzeFixture("retired_flag_violation.cpp");
+  EXPECT_EQ(errorsOfRule(Fs, "retired-build-flag"), 6)
+      << "the fault switch, its constexpr mirror, and four trace macros";
+  EXPECT_EQ(totalErrors(Fs), 6);
+}
+
+TEST(Analyze, RetiredBuildFlagCleanFixture) {
+  auto Fs = analyzeFixture("retired_flag_clean.cpp");
+  EXPECT_EQ(totalErrors(Fs), 0)
+      << "planActive() and the surviving build switches must not match";
+}
+
 TEST(Analyze, WallClockInCoreSeededViolations) {
   auto Fs = analyzeFixture("wallclock_violation.cpp");
   EXPECT_EQ(errorsOfRule(Fs, "wall-clock-in-core"), 3)

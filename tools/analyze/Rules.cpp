@@ -127,6 +127,20 @@ const std::vector<TokenRule> &tokenRules() {
        "service::Runtime and submit sessions through Runtime::run / "
        "Runtime::submit instead",
        /*LimitDirs=*/{}},
+      {"retired-build-flag",
+       // Fault injection is compiled into every build (an installed
+       // FaultPlan arms it) and the stderr trace macros were deleted, so
+       // no directory is exempt: any occurrence resurrects a build
+       // configuration the CI matrix no longer builds. Whole identifier
+       // tokens only: LVISH_FAULTS_VALUE is a distinct token.
+       seqsOf({"LVISH_FAULTS", "InjectionEnabled", "LVISH_TRACE_DEBUG",
+               "LVISH_TRACE", "LVISH_TRACE2", "LVISH_TRACE3"}),
+       {},
+       "fault injection is always compiled and armed at run time by "
+       "fault::setFaultPlan / fault::PlanScope, and the stderr trace "
+       "macros are gone; use the TraceRecorder / obs::Span recorders "
+       "instead of a compile-time switch",
+       /*LimitDirs=*/{}},
       {"wall-clock-in-core",
        // All three standard clock spellings; the token stream matches the
        // fully qualified std::chrono:: prefix forms too (the sequence

@@ -10,6 +10,9 @@
 #              tooling.
 #   release  - the tier-1 configuration (RelWithDebInfo, checkers
 #              compiled out): what ROADMAP.md's verify command runs.
+#              Fault injection has no build switch: FaultStressTest's
+#              seeded plans run here and in every other full-suite stage
+#              (debug, tsan, asan, ubsan).
 #   tsan     - ThreadSanitizer (auto-selects the locked deque). Telemetry
 #              is compiled out here to prove the LVISH_TELEMETRY=0 build
 #              stays healthy (empty snapshot struct, no-op counters).
@@ -28,12 +31,6 @@
 #              tools/bench-report, then prints a non-fatal bench-report
 #              diff of the committed bench/baselines/ pre/post JSONs.
 #              Reuses the release build.
-#   faults   - RelWithDebInfo with the fault-injection harness armed
-#              (LVISH_FAULTS=ON): FaultStressTest drives seeded task
-#              failures, delays, and allocation-failure shims across >= 8
-#              seeds and several worker counts, asserting the contained
-#              outcomes are identical, then the full suite re-runs to
-#              prove injection hooks do not perturb passing programs.
 #   explore  - controlled-schedule smoke (src/explore/): re-runs
 #              ExploreTest + ExploreRegressionTest + the explored
 #              determinism sweeps under a reduced schedule budget
@@ -80,9 +77,9 @@
 #              stage list (instrumented builds are slow).
 #
 # Usage: tools/ci.sh
-#        [debug|release|tsan|asan|ubsan|bench|faults|explore|pbbs|streams|
+#        [debug|release|tsan|asan|ubsan|bench|explore|pbbs|streams|
 #         service|chaos|analyze|coverage]...
-#        (default: debug release tsan asan ubsan bench faults explore pbbs
+#        (default: debug release tsan asan ubsan bench explore pbbs
 #         streams service chaos analyze)
 #
 #===------------------------------------------------------------------------===#
@@ -93,7 +90,7 @@ cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || echo 4)
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && \
-  STAGES=(debug release tsan asan ubsan bench faults explore pbbs streams \
+  STAGES=(debug release tsan asan ubsan bench explore pbbs streams \
           service chaos analyze)
 
 run_stage() {
@@ -170,11 +167,6 @@ for stage in "${STAGES[@]}"; do
         bench/baselines/micro_lvar_pre.json \
         bench/baselines/micro_lvar_post.json \
         || echo "bench-report diff failed (non-fatal)"
-      ;;
-    faults)
-      run_stage faults -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLVISH_FAULTS=ON
-      echo "==== [faults] seeded fault-injection stress ===="
-      ./build-ci-faults/tests/FaultStressTest
       ;;
     explore)
       # Reuse the release tree when it exists; otherwise build it.
@@ -420,9 +412,9 @@ for stage in "${STAGES[@]}"; do
       fi
       ;;
     *)
-      echo "unknown stage '$stage' (expected debug, release, tsan, bench," \
-           "faults, explore, pbbs, streams, service, chaos, analyze, or" \
-           "coverage)" >&2
+      echo "unknown stage '$stage' (expected debug, release, tsan, asan," \
+           "ubsan, bench, explore, pbbs, streams, service, chaos, analyze," \
+           "or coverage)" >&2
       exit 2
       ;;
   esac
