@@ -8,8 +8,9 @@
 /// \file
 /// Process-wide state of the dynamic determinism checkers: violation
 /// reporting/counting, the sampling clock, the DisjointnessChecker's
-/// shadow interval map, and the EffectAuditor's eager check. Everything is
-/// compiled out when LVISH_CHECK is 0.
+/// shadow interval map, and the EffectAuditor's eager check. The armed
+/// bodies here are the cold targets of the inline \c armed() probes in the
+/// headers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +20,6 @@
 #include "src/sched/FaultSignal.h"
 #include "src/sched/Scheduler.h"
 #include "src/support/Assert.h"
-
-#if LVISH_CHECK
 
 #include <atomic>
 #include <cstdarg>
@@ -52,7 +51,20 @@ uint64_t initialSamplePeriod() {
 std::atomic<uint64_t> Period{0}; // 0 = not yet initialized from env.
 std::atomic<uint64_t> SampleClock{0};
 
+// Arms the checkers at process start when LVISH_CHECK_SAMPLE is set; its
+// value is the sampling period (see initialSamplePeriod).
+[[maybe_unused]] const bool ArmedFromEnv = [] {
+  bool On = std::getenv("LVISH_CHECK_SAMPLE") != nullptr;
+  if (On)
+    detail::Armed.store(true, std::memory_order_relaxed);
+  return On;
+}();
+
 } // namespace
+
+bool setArmed(bool On) {
+  return detail::Armed.exchange(On, std::memory_order_relaxed);
+}
 
 ViolationHandler setViolationHandler(ViolationHandler H) {
   return Handler.exchange(H, std::memory_order_acq_rel);
@@ -119,7 +131,7 @@ void setSamplePeriod(uint64_t N) {
   Period.store(N >= 1 ? N : 1, std::memory_order_release);
 }
 
-bool sampleHit() {
+bool detail::sampleHitArmed() {
   uint64_t P = samplePeriod();
   if (P == 1)
     return true;
@@ -163,9 +175,9 @@ DisjointnessChecker &DisjointnessChecker::instance() {
 DisjointnessChecker::DisjointnessChecker() : P(new Impl()) {}
 DisjointnessChecker::~DisjointnessChecker() { delete P; }
 
-void DisjointnessChecker::registerExtent(const void *Begin, const void *End,
-                                         const void *Cell, uint64_t Gen,
-                                         const char *What) {
+void DisjointnessChecker::registerArmed(const void *Begin, const void *End,
+                                        const void *Cell, uint64_t Gen,
+                                        const char *What) {
   if (Begin >= End)
     return; // Empty halves of a degenerate split are trivially disjoint.
   std::lock_guard<std::mutex> Lock(P->M);
@@ -180,16 +192,16 @@ void DisjointnessChecker::registerExtent(const void *Begin, const void *End,
   P->Live[Begin] = Impl::Extent{End, Cell, Gen, What};
 }
 
-void DisjointnessChecker::releaseExtent(const void *Begin,
-                                        const void *Cell) {
+void DisjointnessChecker::releaseArmed(const void *Begin,
+                                       const void *Cell) {
   std::lock_guard<std::mutex> Lock(P->M);
   auto It = P->Live.find(Begin);
   if (It != P->Live.end() && It->second.Cell == Cell)
     P->Live.erase(It);
 }
 
-ExtentInfo DisjointnessChecker::detachExtentContaining(const void *Addr,
-                                                       const void *Cell) {
+ExtentInfo DisjointnessChecker::detachArmed(const void *Addr,
+                                            const void *Cell) {
   std::lock_guard<std::mutex> Lock(P->M);
   auto It = P->Live.upper_bound(Addr);
   if (It == P->Live.begin())
@@ -202,13 +214,6 @@ ExtentInfo DisjointnessChecker::detachExtentContaining(const void *Addr,
                   It->second.What, true};
   P->Live.erase(It);
   return Info;
-}
-
-void DisjointnessChecker::restoreExtent(const ExtentInfo &Info,
-                                        const void *Cell) {
-  if (!Info.Valid)
-    return;
-  registerExtent(Info.Begin, Info.End, Cell, Info.Gen, Info.What);
 }
 
 AccessStatus DisjointnessChecker::classifyAccess(const void *Begin,
@@ -229,10 +234,10 @@ AccessStatus DisjointnessChecker::classifyAccess(const void *Begin,
   return AccessStatus::Ok;
 }
 
-AccessStatus DisjointnessChecker::checkAccess(const void *Begin,
-                                              const void *End,
-                                              const void *Cell,
-                                              uint64_t Gen) {
+AccessStatus DisjointnessChecker::checkAccessArmed(const void *Begin,
+                                                   const void *End,
+                                                   const void *Cell,
+                                                   uint64_t Gen) {
   AccessStatus S = classifyAccess(Begin, End, Cell, Gen);
   if (S == AccessStatus::ForeignOwner)
     reportViolation(
@@ -280,10 +285,9 @@ void DisjointnessChecker::clearAllExtents() {
 
 // -- EffectAuditor ----------------------------------------------------------
 
-void auditEffect(Task *T, uint8_t Bit, const char *Op) {
+void detail::auditEffectArmed(Task *T, uint8_t Bit, const char *Op) {
   if (!T)
     return; // External session-setup writes predate any task.
-  T->PerformedFx = static_cast<uint8_t>(T->PerformedFx | Bit);
   uint8_t Allowed = static_cast<uint8_t>(T->DeclaredFx | T->BlessedFx);
   if ((Bit & ~Allowed) != 0)
     reportViolation(
@@ -297,16 +301,3 @@ void auditEffect(Task *T, uint8_t Bit, const char *Op) {
 
 } // namespace check
 } // namespace lvish
-
-#else // !LVISH_CHECK
-
-namespace lvish {
-namespace check {
-namespace detail {
-// Keep the archive non-empty in checker-less builds.
-int CheckDisabledAnchor = 0;
-} // namespace detail
-} // namespace check
-} // namespace lvish
-
-#endif // LVISH_CHECK

@@ -19,10 +19,13 @@
 ///  * \c EffectAuditor.h       - per-task performed-vs-declared effect
 ///                               comparison (Section 3 / Section 6.1).
 ///
-/// Everything here is compiled behind \c LVISH_CHECK (defined to 0/1 by
-/// CMake: on by default in Debug, off - and zero-cost - in Release and
-/// RelWithDebInfo). Call sites in the core library are additionally wrapped
-/// in `#if LVISH_CHECK` where argument evaluation would otherwise cost.
+/// Every build compiles the checkers; they are armed at run time, like the
+/// fault-injection hooks. \c armed() is one relaxed load of a process-wide
+/// flag, and each hot entry point (\c sampleHit, \c auditEffect, the
+/// DisjointnessChecker's extent calls) is that probe plus a not-taken
+/// branch into a cold out-of-line body in Check.cpp. The checkers arm at
+/// process start when \c LVISH_CHECK_SAMPLE is set in the environment, and
+/// for the extent of a \c CheckScope.
 ///
 /// Violations report through \c reportViolation: by default a violation is
 /// a deterministic fatal error (matching the library's never-throw abort
@@ -34,13 +37,8 @@
 #ifndef LVISH_CHECK_CHECKBASE_H
 #define LVISH_CHECK_CHECKBASE_H
 
+#include <atomic>
 #include <cstdint>
-
-// CMake defines LVISH_CHECK=0/1 on every target; default off for ad-hoc
-// compiles that bypass the build system.
-#ifndef LVISH_CHECK
-#define LVISH_CHECK 0
-#endif
 
 namespace lvish {
 namespace check {
@@ -64,8 +62,6 @@ struct ViolationReport {
 /// Handler signature; see \c setViolationHandler.
 using ViolationHandler = void (*)(const ViolationReport &);
 
-#if LVISH_CHECK
-
 /// Installs a violation handler (tests only) and returns the previous one.
 /// With a handler installed, \c reportViolation records and *returns*
 /// instead of aborting, so a test can observe the diagnostic. Pass null to
@@ -88,10 +84,46 @@ uint64_t violationCountTotal();
 /// Resets all violation counters (test fixtures).
 void resetViolationCounts();
 
-/// True on every Nth call (N = samplePeriod), cheap enough for hot put and
-/// VecView-access paths. Sampling keeps the Debug-mode overhead of the
-/// law/shadow checks bounded while still catching systematic violations.
-bool sampleHit();
+namespace detail {
+/// The process-wide arm flag behind \c armed(). Constant-initialized off;
+/// Check.cpp sets it during static initialization when
+/// \c LVISH_CHECK_SAMPLE is set.
+inline std::atomic<bool> Armed{false};
+
+[[gnu::cold, gnu::noinline]] bool sampleHitArmed();
+} // namespace detail
+
+/// True while the checkers are armed: the whole inline cost of a checker
+/// entry point when they are not.
+inline bool armed() { return detail::Armed.load(std::memory_order_relaxed); }
+
+/// Arms (\p On true) or disarms the checkers process-wide and returns the
+/// previous state. Arm between sessions: a task that starts unarmed and
+/// finishes armed sees only the checks made after the switch.
+bool setArmed(bool On);
+
+/// RAII: arms the checkers for its extent, then restores the previous
+/// state (the checker counterpart of fault::PlanScope).
+class CheckScope {
+public:
+  CheckScope() : Prev(setArmed(true)) {}
+  ~CheckScope() { setArmed(Prev); }
+  CheckScope(const CheckScope &) = delete;
+  CheckScope &operator=(const CheckScope &) = delete;
+
+private:
+  bool Prev;
+};
+
+/// True on every Nth call (N = samplePeriod) while armed, false otherwise;
+/// cheap enough for hot put and VecView-access paths. Sampling keeps the
+/// overhead of the law/shadow checks bounded while still catching
+/// systematic violations.
+inline bool sampleHit() {
+  if (armed()) [[unlikely]]
+    return detail::sampleHitArmed();
+  return false;
+}
 
 /// Current sampling period. Initialized once from the environment variable
 /// \c LVISH_CHECK_SAMPLE (default 64; clamped to >= 1).
@@ -99,21 +131,6 @@ uint64_t samplePeriod();
 
 /// Overrides the sampling period (tests set 1 for exhaustive checking).
 void setSamplePeriod(uint64_t N);
-
-#else // !LVISH_CHECK - inline no-op stubs so call sites need no guards.
-
-inline ViolationHandler setViolationHandler(ViolationHandler) {
-  return nullptr;
-}
-inline void reportViolation(ViolationKind, const char *, const char *, ...) {}
-inline uint64_t violationCount(ViolationKind) { return 0; }
-inline uint64_t violationCountTotal() { return 0; }
-inline void resetViolationCounts() {}
-inline bool sampleHit() { return false; }
-inline uint64_t samplePeriod() { return 0; }
-inline void setSamplePeriod(uint64_t) {}
-
-#endif // LVISH_CHECK
 
 } // namespace check
 } // namespace lvish

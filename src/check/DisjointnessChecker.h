@@ -25,8 +25,10 @@
 ///    the bare "poisoned view" generation abort into a precise diagnostic
 ///    (stale generation vs. region now owned by another scope vs. clean).
 ///
-/// The map is guarded by a plain mutex: this is a Debug-only analysis and
-/// registration happens at fork-join granularity, not per element.
+/// The map is guarded by a plain mutex: it is touched only while the
+/// checkers are armed, and registration happens at fork-join granularity,
+/// not per element. Unarmed, each entry point is the inline \c armed()
+/// probe and a not-taken branch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,8 +61,6 @@ struct ExtentInfo {
   bool Valid = false;
 };
 
-#if LVISH_CHECK
-
 /// Shadow interval map of live ParST extents; see file comment.
 class DisjointnessChecker {
 public:
@@ -72,23 +72,37 @@ public:
   /// way so the matching release stays balanced. \p What names the
   /// creating combinator for diagnostics.
   void registerExtent(const void *Begin, const void *End, const void *Cell,
-                      uint64_t Gen, const char *What);
+                      uint64_t Gen, const char *What) {
+    if (armed()) [[unlikely]]
+      registerArmed(Begin, End, Cell, Gen, What);
+  }
 
   /// Releases the extent starting at \p Begin for scope \p Cell (no-op
   /// with a diagnostic-free pass if it was never registered, so unbalanced
-  /// teardown on error paths cannot cascade).
-  void releaseExtent(const void *Begin, const void *Cell);
+  /// teardown on error paths - or an extent registered before the
+  /// checkers were armed - cannot cascade).
+  void releaseExtent(const void *Begin, const void *Cell) {
+    if (armed()) [[unlikely]]
+      releaseArmed(Begin, Cell);
+  }
 
   /// Removes and returns the live extent of scope \p Cell containing
   /// \p Addr (the parent side of a forkSTSplit/zoomIn, which may be wider
   /// than the view being split when that view is a slice). Returns an
   /// invalid ExtentInfo if none is registered. Re-register the result
   /// with \c restoreExtent at the join.
-  ExtentInfo detachExtentContaining(const void *Addr, const void *Cell);
+  ExtentInfo detachExtentContaining(const void *Addr, const void *Cell) {
+    if (armed()) [[unlikely]]
+      return detachArmed(Addr, Cell);
+    return ExtentInfo{};
+  }
 
   /// Re-registers a previously detached extent for scope \p Cell; no-op
   /// for invalid infos, so callers need not branch.
-  void restoreExtent(const ExtentInfo &Info, const void *Cell);
+  void restoreExtent(const ExtentInfo &Info, const void *Cell) {
+    if (Info.Valid) [[unlikely]]
+      registerExtent(Info.Begin, Info.End, Cell, Info.Gen, Info.What);
+  }
 
   /// Classifies the byte access [Begin, End) made through a view of scope
   /// \p Cell at generation \p Gen. Pure query - no reporting.
@@ -96,9 +110,14 @@ public:
                               const void *Cell, uint64_t Gen) const;
 
   /// Classifies and reports Stale/ForeignOwner results as Disjointness
-  /// violations with a precise diagnostic. Returns the classification.
+  /// violations with a precise diagnostic. Returns the classification
+  /// (Unknown while the checkers are disarmed).
   AccessStatus checkAccess(const void *Begin, const void *End,
-                           const void *Cell, uint64_t Gen);
+                           const void *Cell, uint64_t Gen) {
+    if (armed()) [[unlikely]]
+      return checkAccessArmed(Begin, End, Cell, Gen);
+    return AccessStatus::Unknown;
+  }
 
   /// Writes a human-readable description of what the map knows about
   /// \p Addr into \p Buf (for upgrading generation-abort messages).
@@ -116,42 +135,22 @@ private:
   DisjointnessChecker(const DisjointnessChecker &) = delete;
   DisjointnessChecker &operator=(const DisjointnessChecker &) = delete;
 
+  [[gnu::cold, gnu::noinline]] void registerArmed(const void *Begin,
+                                                  const void *End,
+                                                  const void *Cell,
+                                                  uint64_t Gen,
+                                                  const char *What);
+  [[gnu::cold, gnu::noinline]] void releaseArmed(const void *Begin,
+                                                 const void *Cell);
+  [[gnu::cold, gnu::noinline]] ExtentInfo detachArmed(const void *Addr,
+                                                      const void *Cell);
+  [[gnu::cold, gnu::noinline]] AccessStatus
+  checkAccessArmed(const void *Begin, const void *End, const void *Cell,
+                   uint64_t Gen);
+
   struct Impl;
   Impl *P;
 };
-
-#else // !LVISH_CHECK - zero-cost stub with the same surface.
-
-class DisjointnessChecker {
-public:
-  static DisjointnessChecker &instance() {
-    static DisjointnessChecker C;
-    return C;
-  }
-  void registerExtent(const void *, const void *, const void *, uint64_t,
-                      const char *) {}
-  void releaseExtent(const void *, const void *) {}
-  ExtentInfo detachExtentContaining(const void *, const void *) {
-    return ExtentInfo{};
-  }
-  void restoreExtent(const ExtentInfo &, const void *) {}
-  AccessStatus classifyAccess(const void *, const void *, const void *,
-                              uint64_t) const {
-    return AccessStatus::Unknown;
-  }
-  AccessStatus checkAccess(const void *, const void *, const void *,
-                           uint64_t) {
-    return AccessStatus::Unknown;
-  }
-  void describeAddress(const void *, char *Buf, size_t BufLen) const {
-    if (BufLen)
-      Buf[0] = '\0';
-  }
-  size_t liveExtentCount() const { return 0; }
-  void clearAllExtents() {}
-};
-
-#endif // LVISH_CHECK
 
 } // namespace check
 } // namespace lvish

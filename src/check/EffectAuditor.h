@@ -15,16 +15,15 @@
 /// library internals use, and the exact holes the calibration band warned
 /// about ("no effect typing; manual ... discipline error-prone").
 ///
-/// The auditor closes the loop dynamically. Each task carries
-///  * a *declared* effect mask, stamped at the spawn path (fork, runPar,
-///    forkCancelable, handler tasks, deadlock scopes) from the effect level
-///    the body was forked at;
-///  * a *performed* mask, accumulated by the structure-level mutators and
-///    parkGet - the chokepoints every effect funnels through regardless of
-///    how its context was obtained.
-/// An operation whose bit is absent from declared|blessed reports an
-/// EffectDiscipline violation eagerly, naming the op (e.g. a ReadOnly
-/// cancelable child that writes - the Section 6.1 safety condition).
+/// The auditor closes the loop dynamically. Each task carries a *declared*
+/// effect mask, stamped at the spawn path (fork, runPar, forkCancelable,
+/// handler tasks, deadlock scopes) from the effect level the body was
+/// forked at. The structure-level mutators and parkGet - the chokepoints
+/// every effect funnels through regardless of how its context was
+/// obtained - audit each performed effect against it: an operation whose
+/// bit is absent from declared|blessed reports an EffectDiscipline
+/// violation eagerly, naming the op (e.g. a ReadOnly cancelable child that
+/// writes - the Section 6.1 safety condition).
 ///
 /// Trusted escapes are made explicit instead of silent: \c BlessScope
 /// (the hidden result-put of forkCancelable, getMemoRO's request-put -
@@ -47,19 +46,27 @@ namespace check {
 // The Fx* bit encoding, effectMask, and effectName live in EffectOps.h
 // (shared with the static analyzer in tools/analyze/).
 
-#if LVISH_CHECK
-
 /// Stamps \p T's declared effect mask; called on every task spawn path
-/// with the effect level the body was forked at.
+/// with the effect level the body was forked at. Stamped armed or not, so
+/// arming between sessions sees correct declared masks.
 inline void declareTaskEffects(Task *T, uint8_t Mask) {
   T->DeclaredFx = Mask;
 }
 
-/// Records that \p T performed the effect \p Bit while executing \p Op,
-/// and reports an EffectDiscipline violation if the task never declared
-/// (nor was blessed for) it. \p T may be null for external session-setup
-/// writes, which run before any task exists and are exempt.
-void auditEffect(Task *T, uint8_t Bit, const char *Op);
+namespace detail {
+[[gnu::cold, gnu::noinline]] void auditEffectArmed(Task *T, uint8_t Bit,
+                                                   const char *Op);
+} // namespace detail
+
+/// While the checkers are armed, records that \p T performed the effect
+/// \p Bit while executing \p Op, and reports an EffectDiscipline violation
+/// if the task never declared (nor was blessed for) it. \p T may be null
+/// for external session-setup writes, which run before any task exists
+/// and are exempt.
+inline void auditEffect(Task *T, uint8_t Bit, const char *Op) {
+  if (armed()) [[unlikely]]
+    detail::auditEffectArmed(T, Bit, Op);
+}
 
 /// RAII: temporarily adds \p Bits to the current task's blessed mask, for
 /// the trusted internal operations the paper explicitly blesses (the
@@ -98,23 +105,6 @@ private:
   Task *Tsk;
   uint8_t Saved;
 };
-
-#else // !LVISH_CHECK
-
-inline void declareTaskEffects(Task *, uint8_t) {}
-inline void auditEffect(Task *, uint8_t, const char *) {}
-
-class BlessScope {
-public:
-  BlessScope(Task *, uint8_t) {}
-};
-
-class RaiseDeclaredScope {
-public:
-  RaiseDeclaredScope(Task *, uint8_t) {}
-};
-
-#endif // LVISH_CHECK
 
 } // namespace check
 } // namespace lvish

@@ -10,8 +10,8 @@
 /// which effect bit" table live. Two consumers share it:
 ///
 ///  * the runtime EffectAuditor (src/check/EffectAuditor.h), which stamps
-///    per-task declared/performed masks at the spawn and mutation
-///    chokepoints, and
+///    per-task declared masks at the spawn chokepoints and audits each
+///    effect against them at the mutation chokepoints, and
 ///  * the static analyzer (tools/analyze/), which resolves the declared
 ///    `EffectSet` at every fork/spawn/runPar site and compares it against
 ///    the LVish operations named in the task body - the compile-time dual

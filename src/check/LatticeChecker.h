@@ -44,8 +44,6 @@
 namespace lvish {
 namespace check {
 
-#if LVISH_CHECK
-
 /// Validates the join laws on the live pair (\p Old state, \p New incoming
 /// value); see file comment. Callers sample via \c sampleHit first - this
 /// performs several joins and is not free.
@@ -97,7 +95,9 @@ inline void checkBumpInflates(uint64_t Old, uint64_t Amount,
 /// Asserts pairwise incompatibility of threshold trigger sets at get
 /// registration (requires a designated top to be decidable; lattices
 /// without one rely on the author's obligation alone, as in the paper).
-/// Also flags empty trigger sets, which could never activate.
+/// Also flags empty trigger sets, which could never activate. Runs whether
+/// or not the checkers are armed: the check is cheap and a compatible pair
+/// makes the read itself nondeterministic.
 template <typename L>
   requires Lattice<L>
 void checkThresholdSets(
@@ -122,20 +122,6 @@ void checkThresholdSets(
                   I, J);
   }
 }
-
-#else // !LVISH_CHECK
-
-template <typename L>
-  requires Lattice<L>
-inline void checkJoinLaws(const typename L::ValueType &,
-                          const typename L::ValueType &) {}
-inline void checkBumpInflates(uint64_t, uint64_t, const char *) {}
-template <typename L>
-  requires Lattice<L>
-inline void checkThresholdSets(
-    const std::vector<std::vector<typename L::ValueType>> &) {}
-
-#endif // LVISH_CHECK
 
 } // namespace check
 } // namespace lvish

@@ -71,11 +71,9 @@ public:
     D NewState{L::bottom()};
     {
       std::lock_guard<std::mutex> Lock(WaitMutex);
-#if LVISH_CHECK
       // Spot-check the author's join-law obligations on the live pair.
       if (check::sampleHit())
         check::checkJoinLaws<L>(State, V);
-#endif
       D Joined = L::join(State, V);
       if (!(Joined == State)) {
         if (isFrozen())
@@ -122,28 +120,14 @@ public:
     return State;
   }
 
-  /// Debug verification that trigger sets are pairwise incompatible
-  /// (requires a designated top). Cheap for the finite lattices where it is
-  /// exhaustive, e.g. the parallel-and lattice of Figure 1. Routed through
-  /// the LatticeChecker when the dynamic checkers are compiled in, so
-  /// violations report with the checker diagnostics (and tests can observe
-  /// them); falls back to a direct fatal check otherwise.
+  /// Verification that trigger sets are pairwise incompatible (requires a
+  /// designated top). Cheap for the finite lattices where it is
+  /// exhaustive, e.g. the parallel-and lattice of Figure 1. Runs in every
+  /// build, armed or not, through the LatticeChecker: inside a session a
+  /// violation is a contained CheckerViolation fault, outside one it is
+  /// fatal (unless a test installed a violation handler).
   static void checkPairwiseIncompatible(const ThresholdSets<D> &Sets) {
-#if LVISH_CHECK
     check::checkThresholdSets<L>(Sets);
-#else
-    if constexpr (LatticeWithTop<L>) {
-      for (size_t I = 0; I < Sets.size(); ++I)
-        for (size_t J = I + 1; J < Sets.size(); ++J)
-          for (const D &A : Sets[I])
-            for (const D &B : Sets[J])
-              if (!L::isTop(L::join(A, B)))
-                // Static misuse of the API, not a session-scoped runtime
-                // contract violation. lvish-lint: allow(fatal)
-                fatalError("threshold trigger sets are not pairwise "
-                           "incompatible; reads would be nondeterministic");
-    }
-#endif
   }
 
   /// Blocking read against a *general monotone threshold function*

@@ -114,17 +114,13 @@ public:
       if (Idx >= Cells.size())
         Cells.resize(Idx + 1);
       Cells[Idx] = std::move(Val);
-#if LVISH_CHECK
       const uint64_t OldFilled = Filled;
-#endif
       while (Filled < Cells.size() && Cells[Filled].has_value())
         ++Filled;
       NewFilled = Filled;
       FilledAtomic.store(NewFilled, std::memory_order_release);
-#if LVISH_CHECK
       if (check::sampleHit())
         check::checkJoinLaws<MaxUint64Lattice>(OldFilled, NewFilled);
-#endif
     }
     obs::count(obs::Event::StreamAppends);
     // Handler delivery outside the state lock (a handler may put back into
@@ -291,10 +287,8 @@ public:
       this->noOpPut();
       return; // Stale watermark: nothing newly released.
     }
-#if LVISH_CHECK
     if (check::sampleHit())
       check::checkJoinLaws<MaxUint64Lattice>(Old, UpTo);
-#endif
     this->notifyCredit(Caller, BackpressureKeyHash);
   }
 

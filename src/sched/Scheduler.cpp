@@ -508,7 +508,9 @@ void Scheduler::registryRemove(Task *T) {
 void Scheduler::sliceEnd(Task *T) {
   if (!Tracing || T->CurSlice == TraceRecorder::None)
     return;
-  Recorder.onSliceEnd(T->CurSlice, nowNanos() - T->SliceStart,
+  // A slice runs on one worker thread, so the thread's CPU clock measures
+  // its work even when the thread was preempted in between.
+  Recorder.onSliceEnd(T->CurSlice, threadCpuNanos() - T->SliceCpuStart,
                       T->SliceBytes, T->SliceStart);
   T->CurSlice = TraceRecorder::None;
   T->SliceBytes = 0;
@@ -519,6 +521,7 @@ void Scheduler::sliceBegin(Task *T) {
     return;
   T->CurSlice = Recorder.onSliceStart(T->TraceId);
   T->SliceStart = nowNanos();
+  T->SliceCpuStart = threadCpuNanos();
   T->SliceBytes = 0;
 }
 

@@ -115,7 +115,8 @@ public:
   // -- Trace bookkeeping (only meaningful when tracing is enabled) --------
   uint32_t TraceId = ~0u;   ///< Task id in the trace recorder.
   uint32_t CurSlice = ~0u;  ///< Open slice id, ~0u when not in a slice.
-  uint64_t SliceStart = 0;  ///< Start timestamp of the open slice.
+  uint64_t SliceStart = 0;  ///< Wall-clock start of the open slice.
+  uint64_t SliceCpuStart = 0; ///< Thread CPU time at the slice's start.
   uint64_t SliceBytes = 0;  ///< noteBytes accumulated in the open slice.
 
   // -- Intrusive registry list (guarded by the scheduler's registry lock) -
@@ -156,12 +157,10 @@ public:
 
   // -- Effect-audit bookkeeping (see src/check/EffectAuditor.h) -----------
   // Plain bytes so this header needs no core/check types; only the task's
-  // own (sequenced) execution mutates them. Meaningful only when the
-  // LVISH_CHECK build flag is on; always present so toggling the flag
-  // cannot change Task's ABI between TUs.
+  // own (sequenced) execution mutates them. Both are stamped in every run;
+  // the audit that reads them runs only while the checkers are armed.
   uint8_t DeclaredFx = 63; ///< Effects the task's body was forked at.
   uint8_t BlessedFx = 0;   ///< Temporarily blessed trusted escapes.
-  uint8_t PerformedFx = 0; ///< Effects actually observed at runtime.
 
   /// True if the cancellation tree above this task has been cancelled.
   bool isCancelled() const { return Cancel && !Cancel->isLive(); }

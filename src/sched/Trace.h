@@ -39,7 +39,7 @@ namespace lvish {
 /// One recorded slice (a node of the replay DAG).
 struct TraceSlice {
   uint32_t Task = 0;          ///< Owning task's trace id.
-  uint64_t DurationNanos = 0; ///< Measured CPU time of this slice.
+  uint64_t DurationNanos = 0; ///< Thread CPU time of this slice.
   uint64_t Bytes = 0;         ///< Announced memory traffic of this slice.
   /// Wall-clock start (nowNanos) of the slice; 0 when unknown (hand-built
   /// traces). Ignored by the simulator, consumed by the chrome://tracing

@@ -3,8 +3,10 @@
 #include "src/support/Assert.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 using namespace lvish;
 
@@ -16,8 +18,12 @@ void lvish::fatalError(const char *Msg) {
   if (FatalReported.compare_exchange_strong(Expected, true)) {
     std::fprintf(stderr, "lvish fatal error: %s\n", Msg);
     std::fflush(stderr);
+    std::abort();
   }
-  std::abort();
+  // A concurrent failure is already reporting. Aborting here could end the
+  // process before its message is written, so wait for it to abort.
+  for (;;)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }
 
 void lvish::unreachableInternal(const char *Msg, const char *File,

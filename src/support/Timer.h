@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Monotonic wall-clock timing helpers used by the benchmark harnesses and
-/// the scheduler's task-duration recorder.
+/// Monotonic wall-clock and per-thread CPU-time helpers used by the
+/// benchmark harnesses and the scheduler's slice recorder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +16,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 
 namespace lvish {
 
@@ -30,6 +31,18 @@ inline uint64_t nowNanos() {
           // lvish-lint: allow(wall-clock-in-core)
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// CPU time consumed so far by the calling thread, in nanoseconds. Unlike
+/// \c nowNanos it does not advance while the thread is preempted, so a
+/// difference of two reads on one thread is the work done in between
+/// (the slice durations the simulator replays). Diagnostics only, like
+/// \c nowNanos.
+inline uint64_t threadCpuNanos() {
+  timespec Ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts);
+  return static_cast<uint64_t>(Ts.tv_sec) * 1000000000ull +
+         static_cast<uint64_t>(Ts.tv_nsec);
 }
 
 /// Measures elapsed wall-clock time from construction (or the last

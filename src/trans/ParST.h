@@ -121,26 +121,25 @@ public:
   void checkLive() const {
     if (live())
       return;
-#if LVISH_CHECK
-    // Upgrade the generic generation-mismatch abort with what the shadow
-    // interval map knows about the region's current owner.
-    char Desc[160];
-    check::DisjointnessChecker::instance().describeAddress(Data, Desc,
-                                                           sizeof(Desc));
-    char Msg[288];
-    std::snprintf(Msg, sizeof(Msg),
-                  "access through a poisoned VecView (view generation "
-                  "%llu); %s",
-                  static_cast<unsigned long long>(MyGen), Desc);
     // Poisoned-view access may race task teardown; abort, do not unwind.
-    // lvish-lint: allow(fatal)
-    fatalError(Msg);
-#else
+    if (check::armed()) {
+      // Upgrade the generic generation-mismatch abort with what the shadow
+      // interval map knows about the region's current owner.
+      char Desc[160];
+      check::DisjointnessChecker::instance().describeAddress(Data, Desc,
+                                                             sizeof(Desc));
+      char Msg[288];
+      std::snprintf(Msg, sizeof(Msg),
+                    "access through a poisoned VecView (view generation "
+                    "%llu); %s",
+                    static_cast<unsigned long long>(MyGen), Desc);
+      // lvish-lint: allow(fatal)
+      fatalError(Msg);
+    }
     // lvish-lint: allow(fatal)
     fatalError("access through a poisoned VecView (the region is "
                "currently owned by forkSTSplit children, or its scope "
                "ended)");
-#endif
   }
 
   /// Sub-view sharing this view's ownership scope. The two views alias;
@@ -169,14 +168,9 @@ private:
   /// shadow interval map; reports Stale/ForeignOwner before the coarse
   /// generation abort fires, so the diagnostic names the actual owner.
   void shadowCheck(const T *P, size_t Count) const {
-#if LVISH_CHECK
     if (check::sampleHit())
       check::DisjointnessChecker::instance().checkAccess(P, P + Count,
                                                          Gen.get(), MyGen);
-#else
-    (void)P;
-    (void)Count;
-#endif
   }
 
   T *Data;

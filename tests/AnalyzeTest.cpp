@@ -157,9 +157,10 @@ TEST(Analyze, DeprecatedBorrowedSchedulerCleanFixture) {
 
 TEST(Analyze, RetiredBuildFlagSeededViolations) {
   auto Fs = analyzeFixture("retired_flag_violation.cpp");
-  EXPECT_EQ(errorsOfRule(Fs, "retired-build-flag"), 6)
-      << "the fault switch, its constexpr mirror, and four trace macros";
-  EXPECT_EQ(totalErrors(Fs), 6);
+  EXPECT_EQ(errorsOfRule(Fs, "retired-build-flag"), 7)
+      << "the fault and checker switches, the fault switch's constexpr "
+         "mirror, and four trace macros";
+  EXPECT_EQ(totalErrors(Fs), 7);
 }
 
 TEST(Analyze, RetiredBuildFlagCleanFixture) {

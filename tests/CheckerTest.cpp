@@ -6,10 +6,8 @@
 // Each checker must catch a deliberately seeded violation, and the
 // law-abiding equivalent must stay silent.
 //
-// Bodies are gated on LVISH_CHECK: in Release/RelWithDebInfo builds (where
-// the checkers compile to nothing) the tests skip instead of failing, so
-// the default tier-1 run stays green while the Debug configuration
-// exercises everything.
+// Every build compiles the checkers; the fixture arms them with a
+// check::CheckScope, so all cases run in every configuration.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -30,7 +29,18 @@ namespace {
 
 constexpr EffectSet D = Eff::Det;
 
-#if LVISH_CHECK
+// -- Start-up arming ----------------------------------------------------
+
+// Registered first so it observes the start-up state. The CheckerEnvTest
+// ctest entry runs it with LVISH_CHECK_SAMPLE=1: the variable arms the
+// checkers at process start and its value is the sampling period. Without
+// the variable the process starts unarmed at the default period of 64.
+TEST(CheckerEnv, SampleVariableArmsAtStartup) {
+  const char *Env = std::getenv("LVISH_CHECK_SAMPLE");
+  EXPECT_EQ(check::armed(), Env != nullptr);
+  uint64_t Want = Env ? std::strtoull(Env, nullptr, 10) : 0;
+  EXPECT_EQ(check::samplePeriod(), Want >= 1 ? Want : 64u);
+}
 
 // -- Recording harness --------------------------------------------------
 
@@ -42,8 +52,8 @@ void recordViolation(const check::ViolationReport &R) {
   Recorded.emplace_back(R.Kind, std::string(R.Message));
 }
 
-/// Installs the recording handler, forces exhaustive sampling, and clears
-/// every piece of global checker state between tests.
+/// Arms the checkers, installs the recording handler, forces exhaustive
+/// sampling, and clears every piece of global checker state between tests.
 class CheckerTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -81,6 +91,7 @@ protected:
     return false;
   }
 
+  check::CheckScope Armed;
   check::ViolationHandler Prev = nullptr;
   uint64_t PrevPeriod = 64;
 };
@@ -106,6 +117,21 @@ TEST_F(CheckerTest, NonCommutativeJoinCaught) {
   });
   EXPECT_GE(check::violationCount(check::ViolationKind::LatticeLaw), 1u);
   EXPECT_TRUE(recordedMessageContains("not commutative"));
+}
+
+TEST_F(CheckerTest, UnarmedCheckersStaySilent) {
+  // The same broken join at exhaustive sampling, with the checkers
+  // disarmed (the fixture's scope restores the outer state, so this also
+  // holds when LVISH_CHECK_SAMPLE armed the process at start).
+  check::setArmed(false);
+  ASSERT_EQ(check::samplePeriod(), 1u);
+  auto O = tryRunPar<D>([](ParCtx<D> Ctx) -> Par<void> {
+    auto LV = newPureLVar<FirstWinsLattice>(Ctx);
+    putPureLVar(Ctx, *LV, 5);
+    co_return;
+  });
+  EXPECT_TRUE(O.ok());
+  EXPECT_EQ(check::violationCountTotal(), 0u);
 }
 
 TEST_F(CheckerTest, LawAbidingLatticeSilent) {
@@ -367,14 +393,5 @@ TEST_F(CheckerDeathTest, UnhandledViolationAborts) {
       },
       "determinism violation");
 }
-
-#else // !LVISH_CHECK
-
-TEST(CheckerTest, CheckersCompiledOut) {
-  GTEST_SKIP() << "LVISH_CHECK is off in this configuration; build with "
-                  "-DCMAKE_BUILD_TYPE=Debug or -DLVISH_CHECK=ON";
-}
-
-#endif // LVISH_CHECK
 
 } // namespace

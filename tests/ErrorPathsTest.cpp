@@ -434,8 +434,8 @@ TEST(FaultOutcomeTest, DeadlockLeakedTasksContained) {
       FaultCode::DeadlockLeakedTasks, "");
 }
 
-#if LVISH_CHECK
 TEST(FaultOutcomeTest, CheckerViolationContained) {
+  check::CheckScope Armed;
   check::setViolationHandler(nullptr);
   check::setSamplePeriod(1);
   expectStableFault(
@@ -454,11 +454,6 @@ TEST(FaultOutcomeTest, CheckerViolationContained) {
       },
       FaultCode::CheckerViolation, "");
 }
-#else
-TEST(FaultOutcomeTest, CheckerViolationContained) {
-  GTEST_SKIP() << "LVISH_CHECK is off in this configuration";
-}
-#endif
 
 TEST(FaultOutcomeTest, InjectedFailureContained) {
   fault::FaultPlan Plan;

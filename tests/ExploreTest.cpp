@@ -412,7 +412,7 @@ TEST(ExploreTest, HandlerQuiesceProgramIsDeterministicUnderExploration) {
   }
 }
 
-// -- Composition with LVISH_CHECK and fault injection ----------------------
+// -- Composition with fault injection ---------------------------------------
 
 TEST(ExploreTest, ComposesWithFaultInjection) {
   // A doomed pedigree must be hit under every adversarial schedule the

@@ -2,9 +2,9 @@
 //
 // What replaced the retired build switches: the run-time plan probe and
 // the surviving configuration names. None of these may trip the
-// retired-build-flag rule - in particular LVISH_FAULTS_VALUE and
-// LVISH_LOCKED_DEQUE are distinct identifier tokens. Scanned, never
-// compiled.
+// retired-build-flag rule - in particular LVISH_FAULTS_VALUE,
+// LVISH_CHECK_SAMPLE and LVISH_LOCKED_DEQUE are distinct identifier
+// tokens. Scanned, never compiled.
 
 #if LVISH_LOCKED_DEQUE
 #endif
@@ -16,6 +16,8 @@ void putPath(Task *T) {
     fault::injectPoint(fault::Point::Put, T);
   int Unused = LVISH_FAULTS_VALUE;
   (void)Unused;
+  unsigned Period = LVISH_CHECK_SAMPLE;
+  (void)Period;
 }
 
 } // namespace lvish

@@ -1,12 +1,15 @@
 // lvish-analyze-fixture-path: src/core/retired_flag_violation.cpp
 //
 // Seeded violations of the retired-build-flag rule: the fault-injection
-// build switch, its constexpr mirror, and the stderr trace macros. Fault
-// injection is compiled into every build and armed at run time by an
-// installed FaultPlan, so each spelling is dead configuration. Scanned,
-// never compiled.
+// and checker build switches, the fault switch's constexpr mirror, and the
+// stderr trace macros. Fault injection and the checkers are compiled into
+// every build and armed at run time, so each spelling is dead
+// configuration. Scanned, never compiled.
 
 #if LVISH_FAULTS // fires: LVISH_FAULTS
+#endif
+
+#if LVISH_CHECK // fires: LVISH_CHECK
 #endif
 
 #ifdef LVISH_TRACE_DEBUG // fires: LVISH_TRACE_DEBUG

@@ -128,18 +128,22 @@ const std::vector<TokenRule> &tokenRules() {
        "Runtime::submit instead",
        /*LimitDirs=*/{}},
       {"retired-build-flag",
-       // Fault injection is compiled into every build (an installed
-       // FaultPlan arms it) and the stderr trace macros were deleted, so
-       // no directory is exempt: any occurrence resurrects a build
-       // configuration the CI matrix no longer builds. Whole identifier
-       // tokens only: LVISH_FAULTS_VALUE is a distinct token.
-       seqsOf({"LVISH_FAULTS", "InjectionEnabled", "LVISH_TRACE_DEBUG",
-               "LVISH_TRACE", "LVISH_TRACE2", "LVISH_TRACE3"}),
+       // Fault injection and the determinism checkers are compiled into
+       // every build (an installed FaultPlan / a CheckScope arms them) and
+       // the stderr trace macros were deleted, so no directory is exempt:
+       // any occurrence resurrects a build configuration the CI matrix no
+       // longer builds. Whole identifier tokens only: LVISH_FAULTS_VALUE,
+       // LVISH_CHECK_SAMPLE and the LVISH_CHECK_*_H header guards are
+       // distinct tokens.
+       seqsOf({"LVISH_FAULTS", "InjectionEnabled", "LVISH_CHECK",
+               "LVISH_TRACE_DEBUG", "LVISH_TRACE", "LVISH_TRACE2",
+               "LVISH_TRACE3"}),
        {},
-       "fault injection is always compiled and armed at run time by "
-       "fault::setFaultPlan / fault::PlanScope, and the stderr trace "
-       "macros are gone; use the TraceRecorder / obs::Span recorders "
-       "instead of a compile-time switch",
+       "fault injection and the determinism checkers are always compiled "
+       "and armed at run time (fault::PlanScope, check::CheckScope or "
+       "LVISH_CHECK_SAMPLE), and the stderr trace macros are gone; use "
+       "the TraceRecorder / obs::Span recorders instead of a compile-time "
+       "switch",
        /*LimitDirs=*/{}},
       {"wall-clock-in-core",
        // All three standard clock spellings; the token stream matches the

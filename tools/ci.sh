@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 #===- tools/ci.sh - full verification entry point -------------------------===#
 #
-# Builds and tests the repository in the three configurations that together
-# cover the determinism disciplines:
+# Builds and tests the repository in the configurations that together
+# cover the determinism disciplines. The dynamic checkers (src/check/) and
+# fault injection (src/fault/) have no build switch: every tree compiles
+# them, LVISH_CHECK_SAMPLE=<period> arms the checkers at process start and
+# an installed fault::FaultPlan arms injection.
 #
-#   debug    - Debug with the dynamic checkers (LVISH_CHECK=1): lattice
-#              laws, ParST disjointness shadow map, effect audit, all as
-#              ctest cases. Exports compile_commands.json for external
-#              tooling.
+#   debug    - Debug with the dynamic checkers armed (ctest runs under
+#              LVISH_CHECK_SAMPLE=64): lattice laws, ParST disjointness
+#              shadow map, effect audit over the whole suite. Exports
+#              compile_commands.json for external tooling.
 #   release  - the tier-1 configuration (RelWithDebInfo, checkers
-#              compiled out): what ROADMAP.md's verify command runs.
-#              Fault injection has no build switch: FaultStressTest's
-#              seeded plans run here and in every other full-suite stage
-#              (debug, tsan, asan, ubsan).
+#              unarmed except where a test arms them): what ROADMAP.md's
+#              verify command runs. CheckerTest and FaultStressTest run
+#              here and in every other full-suite stage (debug, tsan,
+#              asan, ubsan).
 #   tsan     - ThreadSanitizer (auto-selects the locked deque). Telemetry
 #              is compiled out here to prove the LVISH_TELEMETRY=0 build
 #              stays healthy (empty snapshot struct, no-op counters).
@@ -30,51 +33,54 @@
 #              validates the emitted lvish-bench-v1 documents with
 #              tools/bench-report, then prints a non-fatal bench-report
 #              diff of the committed bench/baselines/ pre/post JSONs.
-#              Reuses the release build.
+#              Uses the release tree.
 #   explore  - controlled-schedule smoke (src/explore/): re-runs
 #              ExploreTest + ExploreRegressionTest + the explored
 #              determinism sweeps under a reduced schedule budget
-#              (LVISH_EXPLORE_SCHEDULES). Reuses the release build.
+#              (LVISH_EXPLORE_SCHEDULES). Uses the release tree.
 #   pbbs     - the PBBS-on-LVars problem suite (src/pbbs/): golden
-#              matrix vs the sequential references under Debug +
-#              LVISH_CHECK (reuses the debug tree), explored determinism
+#              matrix vs the sequential references with the checkers
+#              armed (LVISH_CHECK_SAMPLE=64), explored determinism
 #              sweeps + pinned replay corpus under a reduced schedule
 #              budget, and smoke-runs of the four bench_pbbs_* benches
-#              with --json + bench-report validation. Reuses the debug
-#              and release builds.
+#              with --json + bench-report validation. Uses the release
+#              tree.
 #   streams  - streaming LVars (src/data/Stream.h): re-runs StreamTest
-#              under Debug + LVISH_CHECK (join-law sampling on the prefix
+#              with the checkers armed (join-law sampling on the prefix
 #              lattice) and under ThreadSanitizer (the backpressure
 #              park/credit protocol is where a race would hide), replays
 #              the pinned backpressure corpus under a reduced schedule
 #              budget, and smoke-runs the two streaming pipeline benches
 #              with --json + bench-report validation and a non-fatal
-#              diff against the committed baselines. Reuses the debug,
-#              tsan, and release builds.
+#              diff against the committed baselines. Uses the release
+#              and tsan trees.
 #   service  - multi-tenant service runtime: re-runs ServiceRuntimeTest
 #              under ThreadSanitizer (cross-session isolation is where a
 #              data race would hide), smoke-runs the open-loop traffic
 #              bench with --json, validates the document, and prints a
 #              non-fatal bench-report diff against the committed
-#              bench/baselines/service_traffic.json. Reuses the tsan and
-#              release builds.
+#              bench/baselines/service_traffic.json. Uses the tsan and
+#              release trees.
 #   chaos    - service robustness under attack: re-runs ServiceChaosTest
 #              (seeded mid-flight session dooms, admission delay
 #              injection, drain-vs-doom races) and ServiceRobustnessTest
 #              (budgets, deadlines, shed, drain) under ThreadSanitizer,
 #              then smoke-runs the traffic bench's overload phase and
 #              prints a non-fatal bench-report diff against the committed
-#              baseline. Reuses the tsan and release builds.
+#              baseline. Uses the tsan and release trees.
 #   analyze  - scope-aware static analysis (tools/analyze/): runs
 #              lvish-analyze over src/, bench/, examples/, and tests/
 #              against the committed tools/analyze/baseline.json, failing
 #              on any non-baselined finding. Subsumes the retired
 #              lvish-lint scan and the old deprecated-threshold-read
-#              grep. Reuses the release build.
+#              grep. Uses the release tree.
 #   coverage - Debug + LVISH_COVERAGE=ON (gcov instrumentation): runs the
 #              suite and writes a line-coverage summary artifact to
 #              build-ci-coverage/coverage-summary.txt. Not in the default
 #              stage list (instrumented builds are slow).
+#
+# Each stage names the trees it needs; ensure_tree configures and builds a
+# tree incrementally, so a tree an earlier stage built is reused as is.
 #
 # Usage: tools/ci.sh
 #        [debug|release|tsan|asan|ubsan|bench|explore|pbbs|streams|
@@ -93,30 +99,68 @@ STAGES=("$@")
   STAGES=(debug release tsan asan ubsan bench explore pbbs streams \
           service chaos analyze)
 
-run_stage() {
+RELEASE=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
+TSAN=(-DCMAKE_BUILD_TYPE=RelWithDebInfo -DLVISH_SANITIZE=thread
+      -DLVISH_TELEMETRY=OFF)
+
+# ensure_tree <name> <cmake flags...>: configures build-ci-<name> with the
+# flags and builds it. The build is incremental, so a tree an earlier stage
+# (or an earlier run) built costs only the up-to-date check.
+ensure_tree() {
   local name=$1; shift
   local dir="build-ci-$name"
-  echo "==== [$name] configure ===="
+  echo "==== [$name] configure + build ===="
   cmake -B "$dir" -S . "$@" > "$dir.cfg.log" 2>&1 || {
     cat "$dir.cfg.log"; return 1; }
-  echo "==== [$name] build ===="
   cmake --build "$dir" -j "$JOBS"
+}
+
+# run_stage <name> <cmake flags...>: ensure_tree, then the full ctest suite.
+run_stage() {
+  local name=$1
+  ensure_tree "$@"
   echo "==== [$name] ctest ===="
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+  ctest --test-dir "build-ci-$name" --output-on-failure -j "$JOBS"
+}
+
+# bench_smoke <bench binaries...>: runs each release-tree bench with
+# --smoke --json into build-ci-release/bench-json/ and validates the output.
+bench_smoke() {
+  mkdir -p build-ci-release/bench-json
+  local jsons=()
+  for b in "$@"; do
+    local name json
+    name=$(basename "$b")
+    json="build-ci-release/bench-json/BENCH_${name#bench_}.json"
+    echo "---- $name --smoke --json $json ----"
+    "$b" --smoke --json "$json"
+    jsons+=("$json")
+  done
+  ./build-ci-release/tools/bench-report validate "${jsons[@]}"
+}
+
+# drift <baseline.json> <new.json>: non-fatal bench-report diff.
+drift() {
+  ./build-ci-release/tools/bench-report diff "$1" "$2" \
+    || echo "bench-report diff failed (non-fatal)"
 }
 
 for stage in "${STAGES[@]}"; do
   case "$stage" in
     debug)
-      run_stage debug -DCMAKE_BUILD_TYPE=Debug \
+      # The whole suite with the checkers armed at today's sampling
+      # density; CheckerEnvTest overrides the period to 1 itself.
+      ensure_tree debug -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+      echo "==== [debug] ctest with the checkers armed ===="
+      LVISH_CHECK_SAMPLE=64 ctest --test-dir build-ci-debug \
+        --output-on-failure -j "$JOBS"
       ;;
     release)
-      run_stage release -DCMAKE_BUILD_TYPE=RelWithDebInfo
+      run_stage release "${RELEASE[@]}"
       ;;
     tsan)
-      run_stage tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF
+      run_stage tsan "${TSAN[@]}"
       echo "==== [tsan] contended waiter-table stress ===="
       # Re-run the sharded put/wake stress on its own: the suite run above
       # shares the machine across tests, this run gives the publish/probe
@@ -138,45 +182,20 @@ for stage in "${STAGES[@]}"; do
         -DLVISH_SANITIZE=undefined
       ;;
     bench)
-      # Reuse the release tree when it exists; otherwise build it.
-      if [ ! -x build-ci-release/tools/bench-report ]; then
-        echo "==== [bench] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release "${RELEASE[@]}"
       echo "==== [bench] smoke-running benches with --json ===="
-      mkdir -p build-ci-release/bench-json
-      for b in build-ci-release/bench/bench_*; do
-        name=$(basename "$b")
-        json="build-ci-release/bench-json/BENCH_${name#bench_}.json"
-        echo "---- $name --smoke --json $json ----"
-        "$b" --smoke --json "$json"
-      done
-      echo "==== [bench] validating emitted JSON ===="
-      ./build-ci-release/tools/bench-report validate \
-        build-ci-release/bench-json/*.json
+      bench_smoke build-ci-release/bench/bench_*
       echo "==== [bench] baseline drift report (informational) ===="
       # Non-fatal: prints the committed pre/post sharded-hot-path medians
       # (bench/baselines/, full-rep runs) so a reviewer sees the tracked
       # delta without this stage depending on machine-load-sensitive
       # numbers. Smoke-run JSONs above use reduced sizes and are not
       # comparable to the committed baselines.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/micro_lvar_pre.json \
-        bench/baselines/micro_lvar_post.json \
-        || echo "bench-report diff failed (non-fatal)"
+      drift bench/baselines/micro_lvar_pre.json \
+        bench/baselines/micro_lvar_post.json
       ;;
     explore)
-      # Reuse the release tree when it exists; otherwise build it.
-      if [ ! -x build-ci-release/tests/ExploreTest ]; then
-        echo "==== [explore] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release "${RELEASE[@]}"
       echo "==== [explore] schedule-exploration smoke (budget 100) ===="
       LVISH_EXPLORE_SCHEDULES=100 ./build-ci-release/tests/ExploreTest
       LVISH_EXPLORE_SCHEDULES=100 ./build-ci-release/tests/ExploreRegressionTest
@@ -186,160 +205,68 @@ for stage in "${STAGES[@]}"; do
         --gtest_filter='ContentionStress.Explored*'
       ;;
     pbbs)
-      # Golden tests under the Debug dynamic checkers: reuse the debug
-      # tree when it exists; otherwise build it.
-      if [ ! -x build-ci-debug/tests/PbbsGoldenTest ]; then
-        echo "==== [pbbs] building debug tree ===="
-        cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
-          > build-ci-debug.cfg.log 2>&1 || {
-          cat build-ci-debug.cfg.log; exit 1; }
-        cmake --build build-ci-debug -j "$JOBS"
-      fi
-      echo "==== [pbbs] golden matrix under Debug + LVISH_CHECK ===="
-      LVISH_CHECK=1 ./build-ci-debug/tests/PbbsGoldenTest
+      ensure_tree release "${RELEASE[@]}"
+      echo "==== [pbbs] golden matrix with the checkers armed ===="
+      LVISH_CHECK_SAMPLE=64 ./build-ci-release/tests/PbbsGoldenTest
       echo "==== [pbbs] explored sweeps + pinned replay corpus ===="
-      LVISH_EXPLORE_SCHEDULES=100 ./build-ci-debug/tests/PbbsExploreTest
-      # Bench smoke on the release tree; (re)build when the tree or the
-      # pbbs bench binaries are missing (a reused tree may predate them).
-      if [ ! -x build-ci-release/bench/bench_pbbs_bfs ]; then
-        echo "==== [pbbs] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      LVISH_CHECK_SAMPLE=64 LVISH_EXPLORE_SCHEDULES=100 \
+        ./build-ci-release/tests/PbbsExploreTest
       echo "==== [pbbs] bench smoke with --json ===="
-      mkdir -p build-ci-release/bench-json
-      for b in build-ci-release/bench/bench_pbbs_*; do
-        name=$(basename "$b")
-        json="build-ci-release/bench-json/BENCH_${name#bench_}.json"
-        echo "---- $name --smoke --json $json ----"
-        "$b" --smoke --json "$json"
-      done
-      ./build-ci-release/tools/bench-report validate \
-        build-ci-release/bench-json/BENCH_pbbs_*.json
+      bench_smoke build-ci-release/bench/bench_pbbs_*
       echo "==== [pbbs] baseline drift report (informational) ===="
       # Non-fatal: smoke sizes are not comparable to the committed
       # full-rep baselines; the diff (new/old-only rows included) is for
       # reviewers, not a gate.
       for p in bfs components histogram forest; do
-        ./build-ci-release/tools/bench-report diff \
-          "bench/baselines/pbbs_$p.json" \
-          "build-ci-release/bench-json/BENCH_pbbs_$p.json" \
-          || echo "bench-report diff failed (non-fatal)"
+        drift "bench/baselines/pbbs_$p.json" \
+          "build-ci-release/bench-json/BENCH_pbbs_$p.json"
       done
       ;;
     streams)
-      # Checked pass: reuse the debug tree when it exists; otherwise
-      # build it.
-      if [ ! -x build-ci-debug/tests/StreamTest ]; then
-        echo "==== [streams] building debug tree ===="
-        cmake -B build-ci-debug -S . -DCMAKE_BUILD_TYPE=Debug \
-          > build-ci-debug.cfg.log 2>&1 || {
-          cat build-ci-debug.cfg.log; exit 1; }
-        cmake --build build-ci-debug -j "$JOBS"
-      fi
-      echo "==== [streams] StreamTest under Debug + LVISH_CHECK ===="
+      ensure_tree release "${RELEASE[@]}"
+      echo "==== [streams] StreamTest with the checkers armed ===="
       # The dynamic checkers sample join laws on every appendAt/advance;
       # the explored sweeps and the pinned backpressure replay run here
       # under a reduced schedule budget.
-      LVISH_CHECK=1 LVISH_EXPLORE_SCHEDULES=100 \
-        ./build-ci-debug/tests/StreamTest
-      # Race hunt: reuse the tsan tree when it exists; otherwise build it.
-      if [ ! -x build-ci-tsan/tests/StreamTest ]; then
-        echo "==== [streams] building tsan tree ===="
-        cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF \
-          > build-ci-tsan.cfg.log 2>&1 || {
-          cat build-ci-tsan.cfg.log; exit 1; }
-        cmake --build build-ci-tsan -j "$JOBS"
-      fi
+      LVISH_CHECK_SAMPLE=64 LVISH_EXPLORE_SCHEDULES=100 \
+        ./build-ci-release/tests/StreamTest
+      ensure_tree tsan "${TSAN[@]}"
       echo "==== [streams] StreamTest under ThreadSanitizer ===="
       # The producer park / consumer credit handshake (key bucket 1, the
       # publish-then-recheck Dekker protocol) is exactly where a missed
       # fence would hide from the single-threaded explored runs.
       ./build-ci-tsan/tests/StreamTest
-      # Bench smoke on the release tree; (re)build when the tree or the
-      # stream bench binaries are missing (a reused tree may predate
-      # them).
-      if [ ! -x build-ci-release/bench/bench_pipeline_etl ]; then
-        echo "==== [streams] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
       echo "==== [streams] pipeline bench smoke with --json ===="
-      mkdir -p build-ci-release/bench-json
-      for b in build-ci-release/bench/bench_pipeline_etl \
-               build-ci-release/bench/bench_stream_wordcount; do
-        name=$(basename "$b")
-        json="build-ci-release/bench-json/BENCH_${name#bench_}.json"
-        echo "---- $name --smoke --json $json ----"
-        "$b" --smoke --json "$json"
-      done
-      ./build-ci-release/tools/bench-report validate \
-        build-ci-release/bench-json/BENCH_pipeline_etl.json \
-        build-ci-release/bench-json/BENCH_stream_wordcount.json
+      bench_smoke build-ci-release/bench/bench_pipeline_etl \
+        build-ci-release/bench/bench_stream_wordcount
       echo "==== [streams] baseline drift report (informational) ===="
       # Non-fatal: smoke sizes are not comparable to the committed
       # full-rep baselines; the diff is for reviewers, not a gate.
       for p in pipeline_etl stream_wordcount; do
-        ./build-ci-release/tools/bench-report diff \
-          "bench/baselines/$p.json" \
-          "build-ci-release/bench-json/BENCH_$p.json" \
-          || echo "bench-report diff failed (non-fatal)"
+        drift "bench/baselines/$p.json" \
+          "build-ci-release/bench-json/BENCH_$p.json"
       done
       ;;
     service)
-      # Reuse the tsan tree when it exists; otherwise build it.
-      if [ ! -x build-ci-tsan/tests/ServiceRuntimeTest ]; then
-        echo "==== [service] building tsan tree ===="
-        cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF \
-          > build-ci-tsan.cfg.log 2>&1 || {
-          cat build-ci-tsan.cfg.log; exit 1; }
-        cmake --build build-ci-tsan -j "$JOBS"
-      fi
+      ensure_tree tsan "${TSAN[@]}"
       echo "==== [service] ServiceRuntimeTest under ThreadSanitizer ===="
       # Concurrent sessions share the waiter table, the per-session inject
       # queues, and the finalizer thread - the exact surfaces where a
       # cross-session data race would hide from the single-session suite.
       ./build-ci-tsan/tests/ServiceRuntimeTest
-      # Reuse the release tree for the traffic bench.
-      if [ ! -x build-ci-release/bench/bench_service_traffic ]; then
-        echo "==== [service] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release "${RELEASE[@]}"
       echo "==== [service] open-loop traffic smoke ===="
-      mkdir -p build-ci-release/bench-json
-      ./build-ci-release/bench/bench_service_traffic --smoke \
-        --json build-ci-release/bench-json/BENCH_service_traffic.json
-      ./build-ci-release/tools/bench-report validate \
-        build-ci-release/bench-json/BENCH_service_traffic.json
+      bench_smoke build-ci-release/bench/bench_service_traffic
       echo "==== [service] baseline drift report (informational) ===="
       # Non-fatal, and the smoke run uses reduced sizes - the diff shows a
       # reviewer the tracked latency/throughput columns next to the
       # committed full-rep baseline without gating on load-sensitive
       # numbers.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/service_traffic.json \
-        build-ci-release/bench-json/BENCH_service_traffic.json \
-        || echo "bench-report diff failed (non-fatal)"
+      drift bench/baselines/service_traffic.json \
+        build-ci-release/bench-json/BENCH_service_traffic.json
       ;;
     chaos)
-      # Reuse the tsan tree when it exists; otherwise build it.
-      if [ ! -x build-ci-tsan/tests/ServiceChaosTest ]; then
-        echo "==== [chaos] building tsan tree ===="
-        cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          -DLVISH_SANITIZE=thread -DLVISH_TELEMETRY=OFF \
-          > build-ci-tsan.cfg.log 2>&1 || {
-          cat build-ci-tsan.cfg.log; exit 1; }
-        cmake --build build-ci-tsan -j "$JOBS"
-      fi
+      ensure_tree tsan "${TSAN[@]}"
       echo "==== [chaos] ServiceChaosTest under ThreadSanitizer ===="
       # The doom-delivery thread vs. finalizer vs. admission machinery is
       # exactly where a shutdown/cancellation race would hide; the test's
@@ -347,37 +274,17 @@ for stage in "${STAGES[@]}"; do
       ./build-ci-tsan/tests/ServiceChaosTest
       echo "==== [chaos] ServiceRobustnessTest under ThreadSanitizer ===="
       ./build-ci-tsan/tests/ServiceRobustnessTest
-      # Reuse the release tree for the overload bench smoke.
-      if [ ! -x build-ci-release/bench/bench_service_traffic ]; then
-        echo "==== [chaos] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release "${RELEASE[@]}"
       echo "==== [chaos] overload bench smoke ===="
-      mkdir -p build-ci-release/bench-json
-      ./build-ci-release/bench/bench_service_traffic --smoke \
-        --json build-ci-release/bench-json/BENCH_service_traffic.json
-      ./build-ci-release/tools/bench-report validate \
-        build-ci-release/bench-json/BENCH_service_traffic.json
+      bench_smoke build-ci-release/bench/bench_service_traffic
       echo "==== [chaos] overload baseline drift report (informational) ===="
       # Non-fatal: refusal counts (shed/deadline) measure real wall time
       # and drift with machine load; the diff is for reviewers, not a gate.
-      ./build-ci-release/tools/bench-report diff \
-        bench/baselines/service_traffic.json \
-        build-ci-release/bench-json/BENCH_service_traffic.json \
-        || echo "bench-report diff failed (non-fatal)"
+      drift bench/baselines/service_traffic.json \
+        build-ci-release/bench-json/BENCH_service_traffic.json
       ;;
     analyze)
-      # Reuse the release tree when it exists; otherwise build it.
-      if [ ! -x build-ci-release/tools/lvish-analyze ]; then
-        echo "==== [analyze] building release tree ===="
-        cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-          > build-ci-release.cfg.log 2>&1 || {
-          cat build-ci-release.cfg.log; exit 1; }
-        cmake --build build-ci-release -j "$JOBS"
-      fi
+      ensure_tree release "${RELEASE[@]}"
       echo "==== [analyze] lvish-analyze over src/ bench/ examples/ tests/ ===="
       ./build-ci-release/tools/lvish-analyze \
         --baseline tools/analyze/baseline.json \
